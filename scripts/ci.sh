@@ -35,6 +35,12 @@ python -m pytest -x -q
 echo "== slow suite =="
 python -m pytest -x -q -m slow
 
+echo "== paper-shape benches (MoCA vs Prema / Planaria / static) =="
+# The paper's claims as assertions at reference size: MoCA best in
+# every scenario, SLA/STP/fairness margins pointing the paper's way.
+# pytest's default collection skips benchmarks/, so run them here.
+python -m pytest -q benchmarks/bench_*.py --benchmark-disable
+
 echo "== engine microbench gate (plan seam vs imperative, bit-identity) =="
 # ISSUE acceptance gate: the declarative plan seam must not run
 # slower than the legacy imperative seam on the engine microbench

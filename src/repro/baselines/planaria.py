@@ -18,7 +18,7 @@ urgency transitions (as Planaria's epoch-based scheduler does).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.prediction import RemainingPrediction
 from repro.sim.plan import EMPTY_PLAN, AllocationPlan
@@ -48,6 +48,8 @@ class PlanariaPolicy(Policy):
         self.min_tiles = min_tiles
         self._predictor: Optional[RemainingPrediction] = None
         self._last_signature: tuple = ()
+        #: job id -> (block_idx, tiles, predicted remaining cycles)
+        self._remain: Dict[str, Tuple[int, int, float]] = {}
 
     # ------------------------------------------------------------------
 
@@ -138,11 +140,18 @@ class PlanariaPolicy(Policy):
 
     def _urgency_bucket(self, sim: "Simulator", job: "Job") -> float:
         """Quantized urgency from deadline slack vs remaining work."""
-        assert self._predictor is not None
-        tiles = max(job.tiles, self.min_tiles)
-        remain = self._predictor.remaining(
-            job.task.cost, job.block_idx, tiles
-        )
+        tiles = job.tiles
+        if tiles < self.min_tiles:
+            tiles = self.min_tiles
+        bi = job.block_idx
+        cached = self._remain.get(job.job_id)
+        if cached is None or cached[0] != bi or cached[1] != tiles:
+            assert self._predictor is not None
+            cached = self._remain[job.job_id] = (
+                bi, tiles,
+                self._predictor.remaining(job.task.cost, bi, tiles),
+            )
+        remain = cached[2]
         slack = job.task.deadline - sim.now
         if slack <= 0 or remain <= 0:
             return 4.0
@@ -184,7 +193,12 @@ class PlanariaPolicy(Policy):
             shares[jid] += 1
         return shares
 
+    def on_job_finished(self, sim: "Simulator", job: "Job") -> None:
+        """Forget the finished job's cached remaining work."""
+        self._remain.pop(job.job_id, None)
+
     def reset(self) -> None:
-        """Drop the prediction cache (new simulation)."""
+        """Drop the prediction caches (new simulation)."""
         self._predictor = None
         self._last_signature = ()
+        self._remain.clear()

@@ -19,7 +19,7 @@ is why PREMA trails every spatial scheme on SLA and STP in Figures
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.sim.plan import EMPTY_PLAN, AllocationPlan
 from repro.sim.policy import Policy
@@ -73,16 +73,16 @@ class PremaPolicy(Policy):
         admit the challenger onto every tile, and charge the
         checkpoint/restore overhead as an extra stall.
         """
+        if not sim.ready:
+            return EMPTY_PLAN
+        now = sim.now
         if sim.running:
             runner = sim.running[0]
-            challenger = self._best_waiting(sim)
-            if (
-                challenger is not None
-                and runner.at_block_boundary
-                and not runner.is_stalled(sim.now)
-                and self.tokens(challenger, sim.now)
-                > self.preemption_threshold
-                * max(self.tokens(runner, sim.now), 1e-12)
+            if not runner.at_block_boundary or runner.is_stalled(now):
+                return EMPTY_PLAN
+            challenger, tokens = self._best_waiting(sim)
+            if tokens > self.preemption_threshold * max(
+                self.tokens(runner, now), 1e-12
             ):
                 # Built from live ready/running jobs: the trusted
                 # constructor skips redundant re-validation.
@@ -94,9 +94,7 @@ class PremaPolicy(Policy):
                     ),
                 )
             return EMPTY_PLAN
-        nxt = self._best_waiting(sim)
-        if nxt is None:
-            return EMPTY_PLAN
+        nxt, _ = self._best_waiting(sim)
         stalls = ()
         if nxt.preemptions > 0:
             # A job resuming after a preemption pays the restore half
@@ -106,19 +104,34 @@ class PremaPolicy(Policy):
             admissions=((nxt.job_id, sim.soc.num_tiles),), stalls=stalls
         )
 
-    def _best_waiting(self, sim: "Simulator") -> Optional["Job"]:
-        """The waiting job with the most tokens (stable tie-break)."""
-        if not sim.ready:
-            return None
-        return max(
-            sim.ready,
-            key=lambda j: (
-                self.tokens(j, sim.now),
-                j.task.priority,
-                -j.task.dispatch_cycle,
-                j.job_id,
-            ),
+    def _best_waiting(self, sim: "Simulator") -> Tuple["Job", float]:
+        """The waiting job with the most tokens, and its tokens.
+
+        Ties break by priority, then earlier dispatch, then larger
+        job id.  ``sim.ready`` is non-empty and sorted by
+        ``(dispatch_cycle, job_id)``, and within one priority level
+        tokens never grow with the dispatch cycle, so each level's
+        winner is its earliest-dispatched job, the last of them when
+        several share that cycle.  One pass finds these heads; the
+        key is evaluated on them alone.
+        """
+        heads: Dict[int, "Job"] = {}
+        for job in sim.ready:
+            task = job.task
+            head = heads.get(task.priority)
+            if (
+                head is None
+                or head.task.dispatch_cycle == task.dispatch_cycle
+            ):
+                heads[task.priority] = job
+        now = sim.now
+        # Job ids are unique, so the comparison never reaches the job.
+        best = max(
+            (self.tokens(j, now), j.task.priority,
+             -j.task.dispatch_cycle, j.job_id, j)
+            for j in heads.values()
         )
+        return best[4], best[0]
 
     def reset(self) -> None:
         """Stateless between runs."""

@@ -366,6 +366,19 @@ class MoCAPolicy(Policy):
             return []
         queue = [self._schedulable(sim, job) for job in sim.ready]
         selected = self._scheduler.select(sim.now, queue, sim.free_tiles)
+        if (
+            not selected
+            and not sim.running
+            and len(sim.ready) + len(sim.finished) == len(sim.jobs)
+        ):
+            # Idle SoC and no arrival pending: the clock cannot move,
+            # so a task failing the strict ``score > score_threshold``
+            # test (a priority-0 arrival with zero wait scores 0)
+            # would wait forever.  Admit the scheduler's top pick.
+            selected = [
+                min(queue, key=lambda t: (-t.score, t.dispatched_at,
+                                          t.task_id))
+            ]
         base = self.scheduler_config.tiles_per_task
         free = sim.free_tiles
         admissions: List[Tuple[str, int]] = []

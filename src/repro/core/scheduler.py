@@ -51,8 +51,9 @@ class SchedulerConfig:
     """Tunables of the MoCA scheduler.
 
     Attributes:
-        score_threshold: Minimum score for ExQueue admission (Alg. 3
-            line 14). 0 admits every waiting task.
+        score_threshold: ExQueue admission requires a score strictly
+            above it (Alg. 3 line 14).  At 0, a priority-0 task that
+            has not waited yet scores exactly 0 and is not admitted.
         mem_intensive_fraction: Fraction of DRAM bandwidth above which
             a task is flagged memory-intensive (paper: 0.5).
         tiles_per_task: Tiles granted to each admitted task.

@@ -78,6 +78,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from itertools import islice
 from typing import (
     Dict,
     Iterator,
@@ -584,13 +585,12 @@ class ParallelRunner:
         internals (``_processes``) — guarded, and acceptable for a
         pool that is already being discarded for cause.
         """
+        # ``shutdown`` drops ``_processes``: take the handles first.
+        procs = list((getattr(pool, "_processes", None) or {}).values())
         pool.shutdown(wait=False, cancel_futures=True)
-        try:
-            for proc in list(getattr(pool, "_processes", {}).values()):
-                if proc.is_alive():
-                    proc.terminate()
-        except Exception:
-            pass
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
 
     # ------------------------------------------------------------------
     # Running
@@ -699,9 +699,9 @@ class ParallelRunner:
           first-try success, so supervision never perturbs exports.
         - **Worker crashes** (``BrokenProcessPool``): the pool is
           rebuilt and every in-flight cell re-run.  The crash cannot
-          be attributed to one cell, so *all* in-flight cells are
-          (conservatively) charged an attempt; innocents simply
-          succeed on the re-run.  If the pool cannot be rebuilt at
+          be attributed to one cell, so every cell that may have been
+          running is (conservatively) charged an attempt and re-runs
+          alone; innocents simply succeed on the re-run.  If the pool cannot be rebuilt at
           all, the remainder drains serially in-process — the old
           broken-pool fallback, now folded into the same retry
           ledger.
@@ -867,10 +867,14 @@ class ParallelRunner:
 
         Cells are submitted individually (supervision granularity is
         one cell, unlike the throughput path's chunks) through a
-        bounded in-flight window of one cell per worker — a submitted
-        cell therefore starts promptly, which is what makes a
-        submission-stamped wall-clock deadline a faithful *cell*
-        timeout.
+        bounded in-flight window of two cells per worker, so a worker
+        picks up its next cell while the parent records the last.
+        Pool pickup is FIFO, so only the ``workers`` oldest in-flight
+        cells can be running: a cell's wall-clock deadline is stamped
+        when it becomes one of them, and a worker crash charges an
+        attempt to those alone.  A cell still queued behind them is
+        re-run uncharged, and a charged cell re-runs alone, so a
+        second crash is attributed exactly.
 
         Returns the work that still needs the serial fallback (empty
         unless the pool could not be (re)built); each entry keeps its
@@ -897,8 +901,11 @@ class ParallelRunner:
                 )
                 return list(queue)
         self.last_mode = "parallel"
-        #: future -> (payload, attempt, deadline or None)
-        inflight: Dict[object, Tuple[_CellPayload, int, Optional[float]]] = {}
+        #: future -> [payload, attempt, deadline or None], oldest
+        #: submission first
+        inflight: Dict[object, list] = {}
+        #: indices of cells charged for a crash (they re-run alone)
+        suspects = set()
 
         def requeue_or_quarantine(
             payload: _CellPayload, attempt: int, kind: str,
@@ -932,44 +939,44 @@ class ParallelRunner:
 
         try:
             while queue or inflight:
-                while queue and len(inflight) < workers:
+                while queue and len(inflight) < 2 * workers:
+                    if inflight and queue[0][0][0] in suspects:
+                        break
                     payload, attempt = queue.popleft()
-                    deadline = (
-                        time.monotonic() + sup.cell_timeout
-                        if sup.cell_timeout is not None else None
-                    )
                     future = pool.submit(
                         _run_cell_supervised, payload, attempt
                     )
-                    inflight[future] = (payload, attempt, deadline)
-                deadlines = [
-                    d for (_, _, d) in inflight.values() if d is not None
-                ]
-                wait_timeout = (
-                    max(0.0, min(deadlines) - time.monotonic())
-                    if deadlines else None
-                )
+                    inflight[future] = [payload, attempt, None]
+                    if payload[0] in suspects:
+                        break
+                wait_timeout = None
+                if sup.cell_timeout is not None:
+                    now = time.monotonic()
+                    running = list(islice(inflight.values(), workers))
+                    for entry in running:
+                        if entry[2] is None:
+                            entry[2] = now + sup.cell_timeout
+                    wait_timeout = max(
+                        0.0, min(e[2] for e in running) - now
+                    )
                 done, _ = wait(
                     set(inflight), timeout=wait_timeout,
                     return_when=FIRST_COMPLETED,
                 )
                 pool_broken = False
                 broken_message = ""
-                retry_attempts: List[int] = []
                 for future in done:
-                    payload, attempt, _deadline = inflight.pop(future)
                     try:
                         cell = future.result()
                     except BrokenProcessPool as exc:
+                        # Left in flight: charged (or not) below.
                         pool_broken = True
                         broken_message = f"{type(exc).__name__}: {exc}"
-                        requeue_or_quarantine(
-                            payload, attempt, "crash", broken_message
-                        )
-                        retry_attempts.append(attempt)
+                        continue
                     except (KeyboardInterrupt, SystemExit):
                         raise
                     except Exception as exc:
+                        payload, attempt, _ = inflight.pop(future)
                         if attempt >= sup.max_retries:
                             quarantine(
                                 payload, attempt + 1, "error",
@@ -981,17 +988,26 @@ class ParallelRunner:
                                 time.sleep(delay)
                             queue.append((payload, attempt + 1))
                     else:
+                        del inflight[future]
                         record_cell(cell)
                 if pool_broken:
-                    # Every other in-flight future is doomed with the
-                    # same BrokenProcessPool; charge them all one
-                    # attempt (the crasher is unattributable) and
-                    # restart on a fresh pool.
-                    for payload, attempt, _deadline in inflight.values():
-                        requeue_or_quarantine(
-                            payload, attempt, "crash", broken_message
-                        )
-                        retry_attempts.append(attempt)
+                    # Every in-flight future is doomed with the same
+                    # BrokenProcessPool.  The crasher is one of the
+                    # cells that may have been running but cannot be
+                    # told apart: charge each of them one attempt,
+                    # re-run the rest uncharged, on a fresh pool.
+                    retry_attempts: List[int] = []
+                    for i, (payload, attempt, _) in enumerate(
+                        inflight.values()
+                    ):
+                        if i < workers:
+                            suspects.add(payload[0])
+                            requeue_or_quarantine(
+                                payload, attempt, "crash", broken_message
+                            )
+                            retry_attempts.append(attempt)
+                        else:
+                            queue.append((payload, attempt))
                     inflight.clear()
                     if retry_attempts:
                         delay = sup.backoff(min(retry_attempts))
@@ -1013,15 +1029,13 @@ class ParallelRunner:
                     # an attempt — blameless in-flight cells re-run
                     # at their current count.
                     for future in expired:
-                        payload, attempt, _deadline = inflight.pop(
-                            future
-                        )
+                        payload, attempt, _ = inflight.pop(future)
                         requeue_or_quarantine(
                             payload, attempt, "timeout",
                             f"cell exceeded the {sup.cell_timeout}s "
                             f"wall-clock timeout",
                         )
-                    for payload, attempt, _deadline in inflight.values():
+                    for payload, attempt, _ in inflight.values():
                         queue.append((payload, attempt))
                     inflight.clear()
                     pool = replace_pool("cell timeout")

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import SoCConfig
-from repro.core.latency import build_network_cost
+from repro.core.latency import NetworkCost, build_network_cost
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.models.graph import Network
 from repro.sim.job import Task
@@ -348,6 +348,9 @@ class WorkloadGenerator:
             if window <= 0:
                 raise ValueError("arrival window must be positive")
         tasks: List[Task] = []
+        # (cost, isolated, target) depend only on the network: build
+        # them once per pool entry drawn in this call (no RNG use).
+        per_network: Dict[int, Tuple[NetworkCost, float, float]] = {}
         for i in range(config.num_tasks):
             if mix_weights is None:
                 network = rng.choice(pool)
@@ -357,9 +360,15 @@ class WorkloadGenerator:
                 rng, config, window, trace_cycles, i
             )
             priority = self.sample_priority(rng, config.priority_weights)
-            cost = build_network_cost(network, self.soc, self.mem)
-            isolated = self.qos.isolated_latency_from_cost(cost, self.mem)
-            target = self.qos.target(network, config.qos_level, self.mem)
+            entry = per_network.get(id(network))
+            if entry is None:
+                cost = build_network_cost(network, self.soc, self.mem)
+                entry = per_network[id(network)] = (
+                    cost,
+                    self.qos.isolated_latency_from_cost(cost, self.mem),
+                    self.qos.target(network, config.qos_level, self.mem),
+                )
+            cost, isolated, target = entry
             tasks.append(
                 Task(
                     task_id=f"t{i:04d}",

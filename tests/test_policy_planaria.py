@@ -109,3 +109,78 @@ class TestMigrationCost:
         sim._dispatch_arrivals()
         policy.on_event(sim)
         assert all(j.bw_cap is None for j in sim.running)
+
+
+class _ProbeLog(PlanariaPolicy):
+    """Records each job's ``(block, tiles)`` key whenever its urgency
+    is asked for, and counts the transitions between keys."""
+
+    def __init__(self):
+        super().__init__()
+        self.last_key = {}
+        self.changes = 0
+
+    def _urgency_bucket(self, sim, job):
+        key = (job.block_idx, max(job.tiles, self.min_tiles))
+        if self.last_key.get(job.job_id) != key:
+            self.last_key[job.job_id] = key
+            self.changes += 1
+        return super()._urgency_bucket(sim, job)
+
+
+class _UncachedPlanaria(PlanariaPolicy):
+    """Probes the predictor on every urgency query (no cache)."""
+
+    def _urgency_bucket(self, sim, job):
+        self._remain.clear()
+        return super()._urgency_bucket(sim, job)
+
+
+def _churn_tasks(task_factory):
+    nets = ["kws", "squeezenet", "alexnet", "resnet50", "yolov2"]
+    return [
+        task_factory(task_id=f"t{i:02d}", network=nets[i % 5],
+                     dispatch=i * 4e5, priority=(7 * i) % 12,
+                     qos_slack=1.0 + (i % 3))
+        for i in range(24)
+    ]
+
+
+class TestRemainingCache:
+    def test_one_probe_per_key_change(self, soc, mem, task_factory,
+                                      monkeypatch):
+        from repro.core.prediction import RemainingPrediction
+
+        probes = []
+        remaining = RemainingPrediction.remaining
+
+        def counting(self, *args):
+            probes.append(args)
+            return remaining(self, *args)
+
+        monkeypatch.setattr(RemainingPrediction, "remaining", counting)
+        policy = _ProbeLog()
+        result = run_simulation(
+            soc, _churn_tasks(task_factory), policy, mem=mem
+        )
+        assert len(result.results) == 24
+        assert policy.changes > 24  # blocks advance and pods resize
+        assert len(probes) == policy.changes
+        assert policy._remain == {}
+
+    def test_results_match_uncached(self, soc, mem, task_factory):
+        tasks = _churn_tasks(task_factory)
+        cached = run_simulation(soc, tasks, PlanariaPolicy(), mem=mem)
+        plain = run_simulation(soc, tasks, _UncachedPlanaria(), mem=mem)
+        assert cached.results == plain.results
+        assert cached.makespan == plain.makespan
+
+    def test_reset_clears_cache(self, soc, mem, task_factory):
+        policy = PlanariaPolicy()
+        sim = _sim(soc, mem, _churn_tasks(task_factory)[:4], policy)
+        sim.now = 2e6
+        sim._dispatch_arrivals()
+        policy.on_event(sim)
+        assert policy._remain
+        policy.reset()
+        assert policy._remain == {}

@@ -13,6 +13,7 @@ from repro.experiments.runner import (
     ScenarioSpec,
     run_matrix,
 )
+from repro.reporting import sweep_to_csv, sweep_to_json
 from repro.sim.qos import QosLevel
 
 SPEC = ScenarioSpec(
@@ -172,6 +173,34 @@ class TestPoolSupervision:
         assert failure.index == 1
         assert failure.kind == "timeout"
         assert "wall-clock timeout" in failure.message
+
+    def test_queued_cells_not_charged_for_hung_workers(self):
+        """The window holds two cells per worker.  With both workers
+        hung, the cells queued behind them are not yet running, so
+        their deadlines are not stamped: only the hung cells time
+        out, and every other cell finishes (with ``max_retries=0`` a
+        charged attempt would have quarantined it)."""
+        runner, acc = _supervised(
+            FaultPlan.parse("hang:cells=0,1:attempts=all:seconds=60"),
+            workers=2, max_retries=0, cell_timeout=1.0,
+        )
+        if runner.last_mode != "parallel":
+            pytest.skip("process pool unavailable")
+        assert sorted(f.index for f in acc.failures()) == [0, 1]
+        assert {f.kind for f in acc.failures()} == {"timeout"}
+        assert len(acc.cells()) == CELLS - 2
+
+    def test_timed_out_retry_exports_identical(self, serial_matrix):
+        runner, acc = _supervised(
+            FaultPlan.parse("hang:cells=1:attempts=1:seconds=60"),
+            workers=2, max_retries=1, cell_timeout=1.0,
+        )
+        if runner.last_mode != "parallel":
+            pytest.skip("process pool unavailable")
+        assert acc.complete, acc.failures()
+        matrix = acc.matrix()
+        assert sweep_to_json(matrix) == sweep_to_json(serial_matrix)
+        assert sweep_to_csv(matrix) == sweep_to_csv(serial_matrix)
 
     def test_transient_faults_in_workers_retried(self, serial_matrix):
         runner, acc = _supervised(

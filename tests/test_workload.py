@@ -163,6 +163,30 @@ class TestGenerator:
         tasks = generator.generate(WorkloadConfig(num_tasks=10, seed=5))
         assert all(t.isolated_cycles > 0 for t in tasks)
 
+    def test_targets_built_once_per_network(self, generator, monkeypatch):
+        calls = []
+        target = QosModel.target
+
+        def counting(self, network, *args, **kwargs):
+            calls.append(network.name)
+            return target(self, network, *args, **kwargs)
+
+        monkeypatch.setattr(QosModel, "target", counting)
+        cfg = WorkloadConfig(num_tasks=60, seed=5, qos_level=QosLevel.HARD)
+        tasks = generator.generate(cfg)
+        assert sorted(calls) == sorted({t.network_name for t in tasks})
+        generator.generate(cfg)  # nothing carries over between calls
+        assert len(calls) == 2 * len(set(calls))
+        by_name = {n.name: n for n in generator.networks}
+        for t in tasks:
+            net = by_name[t.network_name]
+            assert t.qos_target_cycles == target(
+                generator.qos, net, QosLevel.HARD, generator.mem
+            )
+            assert t.isolated_cycles == generator.qos.isolated_latency(
+                net, generator.mem
+            )
+
     def test_empty_networks_raise(self):
         with pytest.raises(ValueError):
             WorkloadGenerator(DEFAULT_SOC, [])
