@@ -9,15 +9,24 @@ Rewrites ``tests/goldens/reference_matrix.json`` (metric fingerprints
 of the 36 reference cells) and ``tests/goldens/sweep_exports.json``
 (byte digests of the sweep JSON/CSV export files); review the diff and
 commit it with the change that moved the outputs.
+
+It refuses, writing nothing and exiting 1, while the paper-shape
+benches (``benchmarks/bench_*.py``: MoCA best in every scenario, the
+margins over Prema / Planaria / static pointing the paper's way) fail:
+a change that breaks the paper's claims must not be blessed away.
 """
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+
+sys.path.insert(0, str(ROOT / "src"))
 
 from repro.experiments.golden import (  # noqa: E402
     GOLDEN_NUM_TASKS,
@@ -25,13 +34,36 @@ from repro.experiments.golden import (  # noqa: E402
     compute_reference_fingerprints,
 )
 
-GOLDEN_PATH = (
-    Path(__file__).resolve().parent.parent
-    / "tests" / "goldens" / "reference_matrix.json"
-)
+GOLDEN_PATH = ROOT / "tests" / "goldens" / "reference_matrix.json"
+
+
+def benches_pass() -> bool:
+    """Run the paper-shape benches at reference size, as ``ci.sh``
+    does; True when they all pass."""
+    benches = sorted(
+        str(p.relative_to(ROOT))
+        for p in (ROOT / "benchmarks").glob("bench_*.py")
+    )
+    path = os.environ.get("PYTHONPATH")
+    env = {
+        **os.environ,
+        "PYTHONPATH": "src" + (os.pathsep + path if path else ""),
+    }
+    cmd = [
+        sys.executable, "-m", "pytest", "-q", *benches,
+        "--benchmark-disable",
+    ]
+    return subprocess.run(cmd, cwd=ROOT, env=env).returncode == 0
 
 
 def main() -> None:
+    if not benches_pass():
+        print(
+            "refusing to bless: the paper-shape benches "
+            "(benchmarks/bench_*.py) fail; fix the program first",
+            file=sys.stderr,
+        )
+        sys.exit(1)
     t0 = time.time()
     cells = compute_reference_fingerprints()
     payload = {
@@ -56,7 +88,7 @@ def bless_sweep_exports() -> None:
 
     # Import the spec list from the test module so the bless script
     # and the test can never drift apart.
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    sys.path.insert(0, str(ROOT / "tests"))
     from test_reporting import (  # noqa: E402
         GOLDEN_EXPORT_PATH,
         GOLDEN_EXPORT_SPECS,

@@ -89,6 +89,28 @@ REPRO_CHECK=1 python -m repro.cli sweep \
 diff -r "$EXPORT_TMP/sanitized" "$EXPORT_TMP/serial"
 echo "sanitized run byte-identical"
 
+echo "== shared trajectories (served QoS siblings vs simulated, byte-exact) =="
+# Prema and static partitioning read no SLA target, so the serial
+# sweep simulates each of their task streams once per QoS triplet and
+# serves the other two levels.  The pool run (workers never share) and
+# the sanitized run (every served cell re-simulated and compared) must
+# write the same bytes as the serial run that served them.
+python -m repro.cli sweep \
+    --scenarios ref-a-qos-h,ref-a-qos-m,ref-a-qos-l \
+    --tasks 16 --seeds 1,2 --workers 1 \
+    --out "$EXPORT_TMP/qos-served" --format json,csv
+python -m repro.cli sweep \
+    --scenarios ref-a-qos-h,ref-a-qos-m,ref-a-qos-l \
+    --tasks 16 --seeds 1,2 --workers 2 \
+    --out "$EXPORT_TMP/qos-pool" --format json,csv
+REPRO_CHECK=1 python -m repro.cli sweep \
+    --scenarios ref-a-qos-h,ref-a-qos-m,ref-a-qos-l \
+    --tasks 16 --seeds 1,2 --workers 1 \
+    --out "$EXPORT_TMP/qos-sanitized" --format json,csv
+diff -r "$EXPORT_TMP/qos-pool" "$EXPORT_TMP/qos-served"
+diff -r "$EXPORT_TMP/qos-sanitized" "$EXPORT_TMP/qos-served"
+echo "served trajectories byte-identical"
+
 echo "== every-event cadence identity (explicit vs default, byte-exact) =="
 # ISSUE acceptance gate: the declarative plan seam under its default
 # (every-event) cadence must stay bit-identical to the pinned

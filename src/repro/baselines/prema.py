@@ -44,6 +44,8 @@ class PremaPolicy(Policy):
     """
 
     name = "prema"
+    #: Tokens are priority x wait; no decision reads an SLA target.
+    reads_sla_targets = False
 
     def __init__(
         self,

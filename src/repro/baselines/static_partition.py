@@ -31,6 +31,8 @@ class StaticPartitionPolicy(Policy):
     """
 
     name = "static"
+    #: FCFS slot filling; no decision reads an SLA target.
+    reads_sla_targets = False
 
     def __init__(self, tiles_per_slot: int = 2) -> None:
         if tiles_per_slot <= 0:

@@ -102,6 +102,7 @@ from repro.experiments.runner import (
     PolicyFactory,
     ScenarioResult,
     ScenarioSpec,
+    TrajectoryMemo,
     check_unique_labels,
     default_policies,
     run_cell_detail,
@@ -185,7 +186,11 @@ class CellTiming:
     seconds: float
 
 
-def _run_cell(payload: _CellPayload, attempt: int = 0) -> CellResult:
+def _run_cell(
+    payload: _CellPayload,
+    attempt: int = 0,
+    shared: Optional[TrajectoryMemo] = None,
+) -> CellResult:
     """Execute one matrix cell (runs inside a worker process).
 
     Delegates to :func:`repro.experiments.runner.run_cell_detail` —
@@ -201,6 +206,10 @@ def _run_cell(payload: _CellPayload, attempt: int = 0) -> CellResult:
     the (single) fault-injection point and nothing else — the cell's
     simulation is a pure function of the payload, so a retried cell
     returns exactly the result the first attempt would have.
+
+    ``shared`` is the in-process sweep's trajectory memo (see
+    :func:`~repro.experiments.runner.run_cell_detail`); pool workers
+    pass none.
     """
     from repro.core.latency import track_cache_deltas
 
@@ -211,7 +220,8 @@ def _run_cell(payload: _CellPayload, attempt: int = 0) -> CellResult:
     t0 = time.perf_counter()
     with track_cache_deltas() as cache_delta:
         summary, sim_result = run_cell_detail(
-            spec, policy_name, factory, seed, soc, solver=solver
+            spec, policy_name, factory, seed, soc, solver=solver,
+            shared=shared,
         )
     seconds = time.perf_counter() - t0
     return CellResult(
@@ -800,9 +810,13 @@ class ParallelRunner:
                     remaining, spec_list, soc, sup,
                     record_cell, quarantine,
                 )
+            # In-process cells share SLA-blind trajectories for the
+            # rest of this call only.
+            shared: TrajectoryMemo = {}
             for payload, attempt in remaining:
                 self._supervise_serial(
-                    payload, attempt, sup, record_cell, quarantine
+                    payload, attempt, sup, record_cell, quarantine,
+                    shared,
                 )
         finally:
             self.fault_plan = prior_plan
@@ -827,6 +841,7 @@ class ParallelRunner:
         sup: Supervision,
         record_cell,
         quarantine,
+        shared: TrajectoryMemo,
     ) -> None:
         """Run one cell in-process under the retry ledger.
 
@@ -836,7 +851,7 @@ class ParallelRunner:
         """
         while True:
             try:
-                cell = _run_cell(payload, attempt)
+                cell = _run_cell(payload, attempt, shared)
             except (KeyboardInterrupt, SystemExit):
                 raise
             except Exception as exc:
@@ -1171,8 +1186,9 @@ class ParallelRunner:
                     file=sys.stderr,
                 )
         self.last_mode = "serial"
+        shared: TrajectoryMemo = {}
         for payload in remaining:
-            yield _run_cell(payload)
+            yield _run_cell(payload, shared=shared)
 
     def _stream_pool(
         self,

@@ -72,7 +72,7 @@ class CellResult:
         policy: Policy name.
         seed: Workload seed.
         summary: The cell's metric bundle.
-        seconds: Wall seconds the cell took inside its worker.
+        seconds: Wall seconds this cell took inside its worker.
         worker_pid: OS pid of the process that ran the cell.
         cost_cache_hits / cost_cache_misses: Network-cost cache probes
             during the cell (generation + simulation); a pre-warmed
@@ -87,6 +87,13 @@ class CellResult:
         plans_applied / plans_noop: Plans that did / did not mutate
             engine state.
         plan_actions: Total mutations the controller applied.
+
+    The engine and decision counters describe the cell's trajectory,
+    whether it was simulated or served from a QoS sibling's shared
+    trajectory (see :func:`repro.experiments.runner.
+    run_cell_detail`).  ``seconds`` and the cache counters are always
+    this cell's own: a served cell takes little time and probes only
+    during workload generation.
     """
 
     index: int

@@ -12,9 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import repro.sanitizer as sanitizer
 from repro.baselines import PlanariaPolicy, PremaPolicy, StaticPartitionPolicy
 from repro.config import DEFAULT_SOC, SoCConfig
+from repro.core.latency import CACHE_COUNTER_FIELDS
 from repro.core.policy import MoCAPolicy
+from repro.experiments.results import DECISION_COUNTER_FIELDS
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.metrics import MetricsSummary, summarize
 from repro.models.graph import Network
@@ -27,11 +30,25 @@ from repro.scenarios import (
     resolve_scenarios,
 )
 from repro.sim.engine import SimResult, run_simulation
+from repro.sim.job import Task
 from repro.sim.policy import Policy
 from repro.sim.qos import QosModel
 from repro.sim.workload import WorkloadGenerator
 
 PolicyFactory = Callable[[], Policy]
+
+#: Trajectories of SLA-blind policies shared by the cells of one
+#: in-process sweep (see :func:`run_cell_detail`).  Each entry keeps
+#: the factory and the task stream it was simulated from alive, so
+#: the ``id()`` values in its key cannot be reused by other objects.
+TrajectoryMemo = Dict[tuple, Tuple[PolicyFactory, Sequence[Task], SimResult]]
+
+#: The :class:`SimResult` fields a trajectory determines: what a
+#: served cell must reproduce exactly.  Cache-probe counts depend on
+#: how warm the process's caches were, not on the trajectory.
+_TRAJECTORY_FIELDS = (
+    "policy_name", "results", "makespan", *DECISION_COUNTER_FIELDS
+)
 
 
 def _parallel_runner(workers: int):
@@ -130,6 +147,7 @@ def run_cell_detail(
     seed: int,
     soc: Optional[SoCConfig] = None,
     solver: Optional[str] = None,
+    shared: Optional[TrajectoryMemo] = None,
 ) -> Tuple[MetricsSummary, "SimResult"]:
     """Run one cell; return its metric bundle *and* the raw
     :class:`~repro.sim.engine.SimResult`.
@@ -148,6 +166,19 @@ def run_cell_detail(
     ``solver`` picks the engine's block-time solver (``None`` = the
     engine default); all solvers are pinned bit-identical, so this is
     an operational knob, never part of the cell's identity.
+
+    ``shared`` is the trajectory memo of the sweep this cell belongs
+    to.  A policy whose class declares ``reads_sla_targets = False``
+    makes the same decisions whatever each task's
+    ``qos_target_cycles`` is, so cells that differ only in QoS level
+    (the ``ref-*`` H/M/L triplets) run one trajectory.  Such a cell is
+    keyed by the factory, SoC, cadence, solver and its task stream
+    minus the targets; a later cell with the same key rebuilds the
+    stored per-task results with its own targets and re-summarizes
+    instead of simulating.  A served result reports the trajectory's
+    event and decision counters and zero cache probes.  A cell that
+    raises stores nothing.  Under ``REPRO_CHECK=1`` every served cell
+    is also simulated and must match field for field.
     """
     if soc is None:
         soc = DEFAULT_SOC
@@ -156,12 +187,66 @@ def run_cell_detail(
     networks: List[Network] = spec.networks()
     gen = WorkloadGenerator(soc, networks, mem, qos)
     tasks = gen.generate(spec.workload_config(seed))
+    policy = factory()
+    cadence = spec.cadence()
     kwargs = {} if solver is None else {"solver": solver}
+    key = None
+    if shared is not None and not type(policy).reads_sla_targets:
+        key = (id(factory), soc, cadence, solver, _stream_key(tasks))
+        entry = shared.get(key)
+        if entry is not None:
+            result = _serve(entry[2], tasks)
+            if sanitizer.enabled:
+                _check_served(
+                    result,
+                    run_simulation(
+                        soc, tasks, policy, mem=mem, cadence=cadence,
+                        **kwargs,
+                    ),
+                )
+            return summarize(policy_name, result.results), result
     result = run_simulation(
-        soc, tasks, factory(), mem=mem, cadence=spec.cadence(),
-        **kwargs,
+        soc, tasks, policy, mem=mem, cadence=cadence, **kwargs,
     )
+    if key is not None:
+        shared[key] = (factory, tasks, result)
     return summarize(policy_name, result.results), result
+
+
+def _stream_key(tasks: Sequence[Task]) -> tuple:
+    """Every :class:`Task` field the simulation reads, per task —
+    all of them except ``qos_target_cycles``.  Network costs are
+    shared by identity through the process's cost cache."""
+    return tuple(
+        (t.task_id, t.network_name, id(t.cost), t.dispatch_cycle,
+         t.priority, t.isolated_cycles)
+        for t in tasks
+    )
+
+
+def _serve(stored: SimResult, tasks: Sequence[Task]) -> SimResult:
+    """``stored``'s trajectory with each task's own SLA target."""
+    targets = {t.task_id: t.qos_target_cycles for t in tasks}
+    return replace(
+        stored,
+        results=[
+            replace(r, qos_target_cycles=targets[r.task_id])
+            for r in stored.results
+        ],
+        **dict.fromkeys(CACHE_COUNTER_FIELDS, 0),
+    )
+
+
+def _check_served(served: SimResult, fresh: SimResult) -> None:
+    """Sanitizer: a served cell must equal its own simulation."""
+    for name in _TRAJECTORY_FIELDS:
+        if getattr(served, name) != getattr(fresh, name):
+            raise sanitizer.SanitizerError(
+                f"shared trajectory differs from a fresh simulation "
+                f"in {name!r}: policy {served.policy_name!r} declares "
+                f"reads_sla_targets = False but its decisions "
+                f"depend on the SLA targets"
+            )
 
 
 def run_cell(
@@ -192,13 +277,24 @@ def run_scenario(
     spec = resolve_scenario(spec)
     if workers != 1:
         return _parallel_runner(workers).run_scenario(spec, policies, soc)
+    return _run_scenario_serial(spec, policies, soc, {})
+
+
+def _run_scenario_serial(
+    spec: ScenarioSpec,
+    policies: Optional[Dict[str, PolicyFactory]],
+    soc: Optional[SoCConfig],
+    shared: TrajectoryMemo,
+) -> Dict[str, ScenarioResult]:
+    """The serial body of :func:`run_scenario`, sharing SLA-blind
+    trajectories through the caller's sweep-scoped ``shared`` memo."""
     if policies is None:
         policies = default_policies()
-
     out: Dict[str, ScenarioResult] = {}
     for name, factory in policies.items():
         summaries = [
-            run_cell(spec, name, factory, seed, soc)
+            run_cell_detail(spec, name, factory, seed, soc,
+                            shared=shared)[0]
             for seed in spec.seeds
         ]
         out[name] = ScenarioResult(
@@ -244,15 +340,18 @@ def run_matrix(
 
     ``workers > 1`` (or ``0`` for auto) fans all (scenario, policy,
     seed) cells across a process pool — see
-    :mod:`repro.experiments.parallel`.
+    :mod:`repro.experiments.parallel`.  The serial path shares
+    SLA-blind trajectories across the whole matrix (see
+    :func:`run_cell_detail`); the memo is dropped on return.
     """
     resolved = resolve_scenarios(specs)
     if workers != 1:
         # ParallelRunner.run_matrix performs its own label check.
         return _parallel_runner(workers).run_matrix(resolved, policies, soc)
     check_unique_labels(resolved)
+    shared: TrajectoryMemo = {}
     return {
-        spec.label: run_scenario(spec, policies, soc)
+        spec.label: _run_scenario_serial(spec, policies, soc, shared)
         for spec in resolved
     }
 

@@ -22,6 +22,9 @@ the guarded hot paths turn on their asserts:
   checks :meth:`AllocationPlan.trusted` exists to skip.
 - :class:`repro.experiments.execution.leases.WorkLedger` re-verifies
   its full state-machine invariant set after every mutating op.
+- :func:`repro.experiments.runner.run_cell_detail` re-simulates every
+  cell it serves from a QoS sibling's shared trajectory and compares
+  — the check behind a policy's ``reads_sla_targets = False``.
 
 Violations raise :class:`SanitizerError` (an ``AssertionError``
 subclass: a sanitizer trip is always a bug in this codebase, never a

@@ -118,6 +118,12 @@ class SimResult:
         plan_actions: Total mutations applied through the
             :class:`~repro.sim.plan.AllocationController` (0 for
             legacy imperative policies, which mutate directly).
+
+    A sweep cell may be *served* from a QoS sibling's trajectory
+    instead of simulated (see :func:`repro.experiments.runner.
+    run_cell_detail`).  The event and decision counters then describe
+    the trajectory, exactly as if the cell had been simulated; the
+    cache-probe counters are zero, since no simulation ran.
     """
 
     policy_name: str

@@ -58,11 +58,18 @@ class Policy(abc.ABC):
             tile count changes.
         memory_reconfig_cycles: Stall charged when a job's bandwidth
             cap changes.
+        reads_sla_targets: Whether the policy's decisions may depend
+            on a task's ``qos_target_cycles`` (or its ``deadline``).
+            A fixed fact about the class.  Policies that declare
+            False run one trajectory for cells that differ only in
+            QoS level (see :func:`repro.experiments.runner.
+            run_cell_detail`); ``REPRO_CHECK=1`` verifies the claim.
     """
 
     name: str = "base"
     compute_reconfig_cycles: int = COMPUTE_RECONFIG_CYCLES
     memory_reconfig_cycles: int = MEMORY_RECONFIG_CYCLES
+    reads_sla_targets: bool = True
 
     #: Horizon-kernel protocol (optional, engine-private).  A policy
     #: may implement ``kernel_noop_guard(sim) -> bool`` — return True

@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.static_partition import StaticPartitionPolicy
 from repro.sim.engine import SimulationError, Simulator, run_simulation
 from repro.sim.job import JobPhase
+from repro.sim.plan import EMPTY_PLAN
 from repro.sim.policy import Policy
 from repro.sim.trace import TraceEvent
 
@@ -331,3 +332,47 @@ class TestReadyQueueOrdering:
         )
         assert [j.job_id for j in sim.ready] == [j.job_id for j in want]
         assert len(sim.ready) == len(tasks)
+
+
+class _NeverAdmitPolicy(Policy):
+    """Declarative policy that never admits anything."""
+
+    name = "never"
+
+    def decide(self, sim):
+        return EMPTY_PLAN
+
+
+#: The kernel solver runs ``_advance_horizon``; the other two run the
+#: single-step ``_run_incremental`` loop.
+LOOP_SOLVERS = ("kernel", "vector", "scalar")
+
+
+class TestRunLoopErrors:
+    @pytest.mark.parametrize("solver", LOOP_SOLVERS)
+    def test_event_budget_exceeded(self, soc, mem, task_factory, solver):
+        tasks = [
+            task_factory(task_id=f"t{i}", dispatch=100.0 * i)
+            for i in range(3)
+        ]
+        sim = Simulator(soc, tasks, StaticPartitionPolicy(), mem=mem,
+                        max_events=2, solver=solver)
+        with pytest.raises(SimulationError, match="exceeded 2 events; "
+                           r"0/3 tasks done"):
+            sim.run()
+
+    @pytest.mark.parametrize("solver", LOOP_SOLVERS)
+    def test_deadlock_when_policy_never_admits(self, soc, mem,
+                                               task_factory, solver):
+        tasks = [
+            task_factory(task_id=f"t{i}", dispatch=100.0 * i)
+            for i in range(2)
+        ]
+        sim = Simulator(soc, tasks, _NeverAdmitPolicy(), mem=mem,
+                        solver=solver)
+        with pytest.raises(
+            SimulationError,
+            match=r"deadlock at cycle 100: 2 ready, 0 running, "
+                  r"policy 'never' made no progress",
+        ):
+            sim.run()

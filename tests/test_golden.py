@@ -11,8 +11,12 @@ After an *intentional* output change, re-bless with::
     PYTHONPATH=src python scripts/bless_goldens.py
 """
 
+import importlib.util
 import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 from repro.experiments.golden import (
     compute_reference_fingerprints,
@@ -79,3 +83,42 @@ def test_parallel_path_matches_goldens_too():
         pytest.skip(
             "process pool unavailable: goldens checked via serial fallback"
         )
+
+
+def _bless_module():
+    path = Path(__file__).parent.parent / "scripts" / "bless_goldens.py"
+    spec = importlib.util.spec_from_file_location("bless_goldens", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("bench_rc", [1, 0])
+def test_bless_refuses_while_paper_benches_fail(
+    bench_rc, tmp_path, monkeypatch
+):
+    bless = _bless_module()
+    commands = []
+
+    def bench_run(cmd, **kwargs):
+        commands.append(cmd)
+        return subprocess.CompletedProcess(cmd, bench_rc)
+
+    written = []
+    monkeypatch.setattr(bless.subprocess, "run", bench_run)
+    monkeypatch.setattr(bless, "GOLDEN_PATH", tmp_path / "golden.json")
+    monkeypatch.setattr(bless, "compute_reference_fingerprints", dict)
+    monkeypatch.setattr(
+        bless, "bless_sweep_exports", lambda: written.append("exports")
+    )
+    if bench_rc:
+        with pytest.raises(SystemExit) as info:
+            bless.main()
+        assert info.value.code == 1
+        assert not (tmp_path / "golden.json").exists() and not written
+    else:
+        bless.main()
+        assert (tmp_path / "golden.json").exists() and written
+    [cmd] = commands
+    assert cmd[-1] == "--benchmark-disable"
+    assert "benchmarks/bench_fig5.py" in cmd
