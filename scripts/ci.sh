@@ -90,11 +90,13 @@ diff -r "$EXPORT_TMP/sanitized" "$EXPORT_TMP/serial"
 echo "sanitized run byte-identical"
 
 echo "== shared trajectories (served QoS siblings vs simulated, byte-exact) =="
-# Prema and static partitioning read no SLA target, so the serial
-# sweep simulates each of their task streams once per QoS triplet and
-# serves the other two levels.  The pool run (workers never share) and
-# the sanitized run (every served cell re-simulated and compared) must
-# write the same bytes as the serial run that served them.
+# Prema and static partitioning read no SLA target, so a sweep
+# simulates each of their task streams once per QoS triplet and
+# serves the other two levels: in process from its own memo, in a
+# pool from the trajectory the parent hands each sibling's worker.
+# The pool run and the sanitized runs (every served cell re-simulated
+# and compared, serially and inside pool workers) must write the same
+# bytes as the serial run that served them.
 python -m repro.cli sweep \
     --scenarios ref-a-qos-h,ref-a-qos-m,ref-a-qos-l \
     --tasks 16 --seeds 1,2 --workers 1 \
@@ -107,8 +109,13 @@ REPRO_CHECK=1 python -m repro.cli sweep \
     --scenarios ref-a-qos-h,ref-a-qos-m,ref-a-qos-l \
     --tasks 16 --seeds 1,2 --workers 1 \
     --out "$EXPORT_TMP/qos-sanitized" --format json,csv
+REPRO_CHECK=1 python -m repro.cli sweep \
+    --scenarios ref-a-qos-h,ref-a-qos-m,ref-a-qos-l \
+    --tasks 16 --seeds 1,2 --workers 2 \
+    --out "$EXPORT_TMP/qos-pool-sanitized" --format json,csv
 diff -r "$EXPORT_TMP/qos-pool" "$EXPORT_TMP/qos-served"
 diff -r "$EXPORT_TMP/qos-sanitized" "$EXPORT_TMP/qos-served"
+diff -r "$EXPORT_TMP/qos-pool-sanitized" "$EXPORT_TMP/qos-served"
 echo "served trajectories byte-identical"
 
 echo "== every-event cadence identity (explicit vs default, byte-exact) =="

@@ -466,22 +466,55 @@ class NetworkCost:
             tables[key] = table
         return table
 
+    @property
+    def structural_digest(self) -> str:
+        """Digest of the declared fields' exact values (float
+        ``repr`` round-trips), memoised per instance.
+
+        Unlike ``id()`` it is the same in every process, so the
+        shared-trajectory key (:func:`repro.experiments.runner.
+        run_cell_detail`) identifies each task's cost by it.
+        """
+        digest = self.__dict__.get("_structural_digest")
+        if digest is None:
+            blob = repr((self.network_name, self.blocks))
+            digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
+            object.__setattr__(self, "_structural_digest", digest)
+        return digest
+
     def __getstate__(self) -> dict:
-        """Pickle only the declared fields — the runtime-table cache
-        (like :class:`BlockCost`'s predict memo) rebuilds
-        transparently and must not inflate worker payloads."""
+        """Pickle only the declared fields — the runtime-table and
+        total-prediction caches and the digest (like
+        :class:`BlockCost`'s predict memo) rebuild transparently and
+        must not inflate worker payloads."""
         state = dict(self.__dict__)
-        state.pop("_runtime_tables", None)
+        for name in (
+            "_runtime_tables", "_total_predictions", "_structural_digest"
+        ):
+            state.pop(name, None)
         return state
 
     def total_prediction(
         self, num_tiles: int, dram_bw: float, l2_bw: float, overlap_f: float
     ) -> float:
-        """End-to-end latency estimate under a fixed allocation."""
-        return sum(
-            b.predict(num_tiles, dram_bw, l2_bw, overlap_f)
-            for b in self.blocks
-        )
+        """End-to-end latency estimate under a fixed allocation.
+
+        Memoised per instance: a pure sum of memoised :meth:`BlockCost.
+        predict` calls, which every workload generation repeats for
+        the same few (tiles, bandwidth) points per network.
+        """
+        key = (num_tiles, dram_bw, l2_bw, overlap_f)
+        totals = self.__dict__.get("_total_predictions")
+        if totals is None:
+            totals = {}
+            object.__setattr__(self, "_total_predictions", totals)
+        total = totals.get(key)
+        if total is None:
+            total = totals[key] = sum(
+                b.predict(num_tiles, dram_bw, l2_bw, overlap_f)
+                for b in self.blocks
+            )
+        return total
 
     def total_from_dram(self) -> float:
         """Whole-network DRAM traffic in bytes."""
@@ -623,10 +656,12 @@ def clear_network_cost_cache() -> None:
 
 
 def clear_predict_memos() -> None:
-    """Drop the per-instance :meth:`BlockCost.predict` memos of every
+    """Drop the per-instance :meth:`BlockCost.predict` memos (and the
+    :meth:`NetworkCost.total_prediction` memos summing them) of every
     cached network cost (for benchmarks that need cold-start timing
     symmetry; the memos rebuild transparently)."""
     for cost in _NETWORK_COST_CACHE.values():
+        cost.__dict__.pop("_total_predictions", None)
         for block in cost.blocks:
             block.clear_predict_memo()
 

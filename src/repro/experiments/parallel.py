@@ -77,7 +77,7 @@ import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from itertools import islice
 from typing import (
     Dict,
@@ -108,6 +108,7 @@ from repro.experiments.runner import (
     run_cell_detail,
 )
 from repro.scenarios import ScenarioLike, resolve_scenarios
+from repro.sim.engine import SimResult
 
 #: One unit of parallel work: (global cell index, spec index, spec,
 #: policy name, policy factory, seed, SoC, solver).  The global index
@@ -122,6 +123,19 @@ _CellPayload = Tuple[
     int, int, ScenarioSpec, str, PolicyFactory, int, SoCConfig,
     Optional[str],
 ]
+
+#: An SLA-blind trajectory handed between processes: its trajectory
+#: key and the :class:`SimResult` it produced (see
+#: :data:`~repro.experiments.runner.TrajectoryMemo`).
+_Trajectory = Tuple[tuple, SimResult]
+
+#: The :class:`ScenarioSpec` fields that set only the SLA targets (or
+#: the label), at their defaults: QoS siblings agree on the rest.
+_TARGET_ONLY_DEFAULTS = {
+    f.name: f.default
+    for f in fields(ScenarioSpec)
+    if f.name in ("qos_level", "slack_factor", "name")
+}
 
 
 @dataclass(frozen=True)
@@ -207,9 +221,9 @@ def _run_cell(
     simulation is a pure function of the payload, so a retried cell
     returns exactly the result the first attempt would have.
 
-    ``shared`` is the in-process sweep's trajectory memo (see
-    :func:`~repro.experiments.runner.run_cell_detail`); pool workers
-    pass none.
+    ``shared`` is the trajectory memo (see :func:`~repro.experiments.
+    runner.run_cell_detail`): the in-process sweep's, or one pool
+    cell's hand-off (see :func:`_run_cell_supervised`).
     """
     from repro.core.latency import track_cache_deltas
 
@@ -247,10 +261,119 @@ def _run_cell_chunk(payloads: Sequence[_CellPayload]) -> List[CellResult]:
 
 
 def _run_cell_supervised(
-    payload: _CellPayload, attempt: int
-) -> CellResult:
-    """Worker entry point for one supervised (per-cell) submission."""
-    return _run_cell(payload, attempt)
+    payload: _CellPayload,
+    attempt: int,
+    sibling: Optional[_Trajectory] = None,
+    share: bool = False,
+) -> Tuple[CellResult, Optional[_Trajectory]]:
+    """Worker entry point for one supervised (per-cell) submission.
+
+    ``sibling`` is a QoS sibling's trajectory handed over by the
+    parent (see :class:`_SiblingTrajectories`).  The cell is served
+    from it only when the trajectory key computed from its own
+    generated tasks equals the sibling's, and simulated otherwise.
+    With ``share`` the cell also returns the trajectory it simulated
+    (cells simulate untraced, so it carries no trace events), for
+    the parent to hand to its later siblings.
+    """
+    if sibling is None and not share:
+        return _run_cell(payload, attempt), None
+    factory = payload[4]
+    shared: TrajectoryMemo = {}
+    if sibling is not None:
+        key, result = sibling
+        shared[(id(factory), key)] = (factory, result)
+    cell = _run_cell(payload, attempt, shared)
+    if share and shared:
+        [((_, key), (_, result))] = shared.items()
+        return cell, (key, result)
+    return cell, None
+
+
+class _SiblingTrajectories:
+    """Parent-side store of SLA-blind trajectories for one
+    :meth:`ParallelRunner._supervise_pool` call.
+
+    A policy declaring ``reads_sla_targets = False`` runs one
+    trajectory for cells that differ only in SLA targets.  Its cells
+    that share a *sibling hint* — factory, seed, SoC, solver and the
+    spec with its target-only fields at their defaults — are QoS
+    siblings.  The first one submitted is asked to return its
+    trajectory; later siblings wait while it is in flight, and each
+    then carries it to its worker, which serves the cell only if the
+    trajectory keys match (the hint is a guess; the key comparison
+    makes serving exact).  A sibling whose trajectory is missing (its
+    first sibling failed, or was restored from a journal) simulates
+    and is asked in turn.  An entry is dropped once the last sibling
+    of its hint has been submitted.
+    """
+
+    def __init__(self, work: Sequence[Tuple[_CellPayload, int]]) -> None:
+        #: cell index -> hint id (SLA-reading cells have none)
+        self._hints: Dict[int, int] = {}
+        #: hint id -> sibling submissions still to come
+        self._unsent: Dict[int, int] = {}
+        #: hint id -> index of the last cell asked for its trajectory
+        self._asked: Dict[int, int] = {}
+        #: hint id -> trajectory for the siblings still to come
+        self.trajectories: Dict[int, _Trajectory] = {}
+        ids: Dict[tuple, int] = {}
+        sibling_specs: Dict[int, ScenarioSpec] = {}
+        for payload, _ in work:
+            index, _, spec, _, factory, seed, soc, solver = payload
+            if getattr(factory, "reads_sla_targets", True):
+                continue
+            # Once per spec, not per cell: replace() re-validates.
+            sibling_spec = sibling_specs.get(id(spec))
+            if sibling_spec is None:
+                sibling_spec = sibling_specs[id(spec)] = replace(
+                    spec, **_TARGET_ONLY_DEFAULTS
+                )
+            hint = ids.setdefault(
+                (id(factory), seed, soc, solver, sibling_spec), len(ids)
+            )
+            self._hints[index] = hint
+            self._unsent[hint] = self._unsent.get(hint, 0) + 1
+
+    def awaits(self, payload: _CellPayload, inflight: Dict) -> bool:
+        """Whether ``payload``'s trajectory is on its way: the sibling
+        asked to return it is still in flight."""
+        hint = self._hints.get(payload[0])
+        if hint is None or hint in self.trajectories:
+            return False
+        asked = self._asked.get(hint)
+        return any(entry[0][0] == asked for entry in inflight.values())
+
+    def submit(
+        self, payload: _CellPayload
+    ) -> Tuple[Optional[_Trajectory], bool]:
+        """For a cell about to be submitted: the trajectory to hand
+        it, and whether to ask it for its own."""
+        hint = self._hints.get(payload[0])
+        if hint is None:
+            return None, False
+        self._unsent[hint] -= 1
+        if not self._unsent[hint]:
+            return self.trajectories.pop(hint, None), False
+        trajectory = self.trajectories.get(hint)
+        if trajectory is None:
+            self._asked[hint] = payload[0]
+        return trajectory, trajectory is None
+
+    def requeue(self, payload: _CellPayload) -> None:
+        """A submitted cell went back to the queue."""
+        hint = self._hints.get(payload[0])
+        if hint is not None:
+            self._unsent[hint] += 1
+
+    def record(
+        self, payload: _CellPayload, trajectory: Optional[_Trajectory]
+    ) -> None:
+        """Keep a returned trajectory while siblings remain unsent."""
+        if trajectory is not None:
+            hint = self._hints[payload[0]]
+            if self._unsent[hint]:
+                self.trajectories.setdefault(hint, trajectory)
 
 
 def _warm_worker(
@@ -889,7 +1012,9 @@ class ParallelRunner:
         when it becomes one of them, and a worker crash charges an
         attempt to those alone.  A cell still queued behind them is
         re-run uncharged, and a charged cell re-runs alone, so a
-        second crash is attributed exactly.
+        second crash is attributed exactly.  SLA-blind QoS siblings
+        share one simulated trajectory through a
+        :class:`_SiblingTrajectories` store that lives for this call.
 
         Returns the work that still needs the serial fallback (empty
         unless the pool could not be (re)built); each entry keeps its
@@ -921,6 +1046,11 @@ class ParallelRunner:
         inflight: Dict[object, list] = {}
         #: indices of cells charged for a crash (they re-run alone)
         suspects = set()
+        siblings = _SiblingTrajectories(work)
+
+        def requeue(payload: _CellPayload, attempt: int) -> None:
+            siblings.requeue(payload)
+            queue.append((payload, attempt))
 
         def requeue_or_quarantine(
             payload: _CellPayload, attempt: int, kind: str,
@@ -929,7 +1059,7 @@ class ParallelRunner:
             if attempt >= sup.max_retries:
                 quarantine(payload, attempt + 1, kind, message)
             else:
-                queue.append((payload, attempt + 1))
+                requeue(payload, attempt + 1)
 
         def replace_pool(reason: str):
             """Discard the (broken or hung) pool; build a successor."""
@@ -955,11 +1085,16 @@ class ParallelRunner:
         try:
             while queue or inflight:
                 while queue and len(inflight) < 2 * workers:
-                    if inflight and queue[0][0][0] in suspects:
+                    head = queue[0][0]
+                    if inflight and (
+                        head[0] in suspects
+                        or siblings.awaits(head, inflight)
+                    ):
                         break
                     payload, attempt = queue.popleft()
                     future = pool.submit(
-                        _run_cell_supervised, payload, attempt
+                        _run_cell_supervised, payload, attempt,
+                        *siblings.submit(payload),
                     )
                     inflight[future] = [payload, attempt, None]
                     if payload[0] in suspects:
@@ -982,7 +1117,7 @@ class ParallelRunner:
                 broken_message = ""
                 for future in done:
                     try:
-                        cell = future.result()
+                        cell, trajectory = future.result()
                     except BrokenProcessPool as exc:
                         # Left in flight: charged (or not) below.
                         pool_broken = True
@@ -1001,9 +1136,9 @@ class ParallelRunner:
                             delay = sup.backoff(attempt)
                             if delay:
                                 time.sleep(delay)
-                            queue.append((payload, attempt + 1))
+                            requeue(payload, attempt + 1)
                     else:
-                        del inflight[future]
+                        siblings.record(inflight.pop(future)[0], trajectory)
                         record_cell(cell)
                 if pool_broken:
                     # Every in-flight future is doomed with the same
@@ -1022,7 +1157,7 @@ class ParallelRunner:
                             )
                             retry_attempts.append(attempt)
                         else:
-                            queue.append((payload, attempt))
+                            requeue(payload, attempt)
                     inflight.clear()
                     if retry_attempts:
                         delay = sup.backoff(min(retry_attempts))
@@ -1051,7 +1186,7 @@ class ParallelRunner:
                             f"wall-clock timeout",
                         )
                     for payload, attempt, _ in inflight.values():
-                        queue.append((payload, attempt))
+                        requeue(payload, attempt)
                     inflight.clear()
                     pool = replace_pool("cell timeout")
                     if pool is None:

@@ -38,10 +38,13 @@ from repro.sim.workload import WorkloadGenerator
 PolicyFactory = Callable[[], Policy]
 
 #: Trajectories of SLA-blind policies shared by the cells of one
-#: in-process sweep (see :func:`run_cell_detail`).  Each entry keeps
-#: the factory and the task stream it was simulated from alive, so
-#: the ``id()`` values in its key cannot be reused by other objects.
-TrajectoryMemo = Dict[tuple, Tuple[PolicyFactory, Sequence[Task], SimResult]]
+#: sweep (see :func:`run_cell_detail`), keyed ``(id(factory),
+#: trajectory key)``.  Each entry keeps its factory alive, so the
+#: ``id()`` in its key cannot be reused by another object.  The
+#: trajectory key holds no ``id()``: it compares equal across
+#: processes, which is what lets a pool worker serve a sibling's
+#: trajectory handed over by the parent.
+TrajectoryMemo = Dict[tuple, Tuple[PolicyFactory, SimResult]]
 
 #: The :class:`SimResult` fields a trajectory determines: what a
 #: served cell must reproduce exactly.  Cache-probe counts depend on
@@ -172,13 +175,14 @@ def run_cell_detail(
     makes the same decisions whatever each task's
     ``qos_target_cycles`` is, so cells that differ only in QoS level
     (the ``ref-*`` H/M/L triplets) run one trajectory.  Such a cell is
-    keyed by the factory, SoC, cadence, solver and its task stream
-    minus the targets; a later cell with the same key rebuilds the
-    stored per-task results with its own targets and re-summarizes
-    instead of simulating.  A served result reports the trajectory's
-    event and decision counters and zero cache probes.  A cell that
-    raises stores nothing.  Under ``REPRO_CHECK=1`` every served cell
-    is also simulated and must match field for field.
+    keyed by the factory and its trajectory key: SoC, cadence, solver
+    and the task stream minus the targets.  A later cell with the
+    same key rebuilds the stored per-task results with its own
+    targets and re-summarizes instead of simulating.  A served result
+    reports the trajectory's event and decision counters and zero
+    cache probes.  A cell that raises stores nothing.  Under
+    ``REPRO_CHECK=1`` every served cell is also simulated and must
+    match field for field.
     """
     if soc is None:
         soc = DEFAULT_SOC
@@ -192,10 +196,10 @@ def run_cell_detail(
     kwargs = {} if solver is None else {"solver": solver}
     key = None
     if shared is not None and not type(policy).reads_sla_targets:
-        key = (id(factory), soc, cadence, solver, _stream_key(tasks))
+        key = (id(factory), (soc, cadence, solver, _stream_key(tasks)))
         entry = shared.get(key)
         if entry is not None:
-            result = _serve(entry[2], tasks)
+            result = _serve(entry[1], tasks)
             if sanitizer.enabled:
                 _check_served(
                     result,
@@ -209,17 +213,19 @@ def run_cell_detail(
         soc, tasks, policy, mem=mem, cadence=cadence, **kwargs,
     )
     if key is not None:
-        shared[key] = (factory, tasks, result)
+        shared[key] = (factory, result)
     return summarize(policy_name, result.results), result
 
 
 def _stream_key(tasks: Sequence[Task]) -> tuple:
     """Every :class:`Task` field the simulation reads, per task —
-    all of them except ``qos_target_cycles``.  Network costs are
-    shared by identity through the process's cost cache."""
+    all of them except ``qos_target_cycles``.  A cost enters by its
+    value identity (network name and structural digest), so equal
+    streams key equally in every process."""
     return tuple(
-        (t.task_id, t.network_name, id(t.cost), t.dispatch_cycle,
-         t.priority, t.isolated_cycles)
+        (t.task_id, t.network_name, t.cost.network_name,
+         t.cost.structural_digest, t.dispatch_cycle, t.priority,
+         t.isolated_cycles)
         for t in tasks
     )
 

@@ -239,19 +239,28 @@ class WorkloadGenerator:
         table = PRIORITY_WEIGHTS if weights is None else weights
         return rng.choices(range(12), weights=table, k=1)[0]
 
-    def arrival_window(self, config: WorkloadConfig) -> float:
+    def arrival_window(
+        self,
+        config: WorkloadConfig,
+        costs: Optional[Mapping[int, NetworkCost]] = None,
+    ) -> float:
         """Length of the dispatch window in cycles for a scenario.
 
         Sized so that ``num_tasks`` average-sized jobs on
         ``reference_tiles``-tile slots offer ``load_factor`` of the
         SoC's slot-parallel capacity.  An explicit
         ``config.arrival_window`` short-circuits the sizing.
+        ``costs`` maps ``id(network)`` to the network's cost, built
+        here when omitted (:meth:`generate` passes the ones it uses).
         """
         if config.arrival_window is not None:
             return config.arrival_window
+        if costs is None:
+            costs = self._costs()
         slot_runtimes = [
-            self.qos.isolated_latency(
-                net, self.mem, num_tiles=config.reference_tiles
+            self.qos.isolated_latency_from_cost(
+                costs[id(net)], self.mem,
+                num_tiles=config.reference_tiles,
             )
             for net in self.networks
         ]
@@ -259,6 +268,13 @@ class WorkloadGenerator:
         slots = max(1, self.soc.num_tiles // config.reference_tiles)
         total_work = config.num_tasks * mean_runtime
         return total_work / (slots * config.load_factor)
+
+    def _costs(self) -> Dict[int, NetworkCost]:
+        """Every candidate network's cost, keyed by ``id(network)``."""
+        return {
+            id(net): build_network_cost(net, self.soc, self.mem)
+            for net in self.networks
+        }
 
     # -- sampling helpers ------------------------------------------------
 
@@ -330,6 +346,7 @@ class WorkloadGenerator:
         """Generate the scenario's task list, sorted by dispatch time."""
         rng = random.Random(config.seed)
         pool, mix_weights = self._model_pool(config)
+        costs = self._costs()
         trace_cycles: Optional[Sequence[float]] = None
         if config.arrival == "trace":
             # Dispatch times come from the trace; skip the load-based
@@ -344,7 +361,7 @@ class WorkloadGenerator:
                     "trace replay needs at least one dispatch cycle"
                 )
         else:
-            window = self.arrival_window(config)
+            window = self.arrival_window(config, costs)
             if window <= 0:
                 raise ValueError("arrival window must be positive")
         tasks: List[Task] = []
@@ -362,7 +379,7 @@ class WorkloadGenerator:
             priority = self.sample_priority(rng, config.priority_weights)
             entry = per_network.get(id(network))
             if entry is None:
-                cost = build_network_cost(network, self.soc, self.mem)
+                cost = costs[id(network)]
                 entry = per_network[id(network)] = (
                     cost,
                     self.qos.isolated_latency_from_cost(cost, self.mem),

@@ -2,6 +2,7 @@
 the per-block predict memos, their invalidation hooks, the
 order-sensitive structural fingerprint and the cache telemetry."""
 
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -18,7 +19,7 @@ from repro.core.latency import (
     warm_network_cost_cache,
 )
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.models.zoo import build_model
+from repro.models.zoo import MODEL_BUILDERS, build_model
 
 
 @pytest.fixture()
@@ -296,3 +297,50 @@ class TestPredictMemo:
         clear_predict_memos()
         assert block.predict(*point) == first
         assert calls["n"] == 2  # memo dropped, recomputed
+
+
+class TestTotalPredictionMemo:
+    @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+    def test_memo_returns_the_unmemoised_float(self, name, mem):
+        cost = build_network_cost(build_model(name), DEFAULT_SOC, mem)
+        bw = (mem.dram_bandwidth, mem.l2_bandwidth, DEFAULT_SOC.overlap_f)
+        for tiles in range(1, DEFAULT_SOC.num_tiles + 1):
+            plain = sum(b.predict(tiles, *bw) for b in cost.blocks)
+            assert cost.total_prediction(tiles, *bw) == plain  # miss
+            assert cost.total_prediction(tiles, *bw) == plain  # hit
+        cold = replace(cost)
+        assert "_total_predictions" in cost.__dict__
+        assert "_total_predictions" not in cold.__dict__
+        assert pickle.dumps(cost) == pickle.dumps(cold)
+        assert "_total_predictions" not in pickle.loads(
+            pickle.dumps(cost)
+        ).__dict__
+
+    def test_clear_predict_memos_drops_it(self, cold_cache, mem):
+        cost = build_network_cost(build_model("kws"), DEFAULT_SOC, mem)
+        cost.total_prediction(
+            2, mem.dram_bandwidth, mem.l2_bandwidth, DEFAULT_SOC.overlap_f
+        )
+        clear_predict_memos()
+        assert "_total_predictions" not in cost.__dict__
+
+
+class TestCostDigest:
+    def test_digest_is_a_value_identity(self, mem):
+        cost = build_network_cost(build_model("kws"), DEFAULT_SOC, mem)
+        digest = cost.structural_digest
+        assert replace(cost).structural_digest == digest
+        assert pickle.loads(pickle.dumps(cost)).structural_digest == digest
+        assert "_structural_digest" not in pickle.loads(
+            pickle.dumps(cost)
+        ).__dict__
+        dropped = replace(cost, blocks=cost.blocks[:-1])
+        assert dropped.structural_digest != digest
+        scaled = replace(cost, blocks=(
+            replace(cost.blocks[0], from_dram_bytes=(
+                cost.blocks[0].from_dram_bytes + 1.0
+            )),
+        ) + cost.blocks[1:])
+        assert scaled.structural_digest != digest
+        renamed = replace(cost, network_name="other")
+        assert renamed.structural_digest != digest

@@ -4,19 +4,25 @@ A policy whose class declares ``reads_sla_targets = False`` runs one
 simulation for cells that differ only in QoS level; the sibling cells
 are served with their own SLA targets.  These tests pin the
 declaration (the declared-blind policies really are blind), the
-serving (bit-identical to simulating), its scope (one in-process
-sweep, every in-process executor) and its failure modes (a wrong
-declaration trips ``REPRO_CHECK``; a raising cell stores nothing).
+serving (bit-identical to simulating), its scope (one sweep, every
+executor; pool workers through the parent's hand-off) and its
+failure modes (a wrong declaration trips ``REPRO_CHECK``; a raising
+cell stores nothing; a mismatched hand-off simulates).
 """
 
 import dataclasses
+import multiprocessing
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+import repro.experiments.parallel as parallel
 import repro.experiments.runner as runner
 import repro.sanitizer as sanitizer
-from repro.baselines import StaticPartitionPolicy
+from repro import reporting
+from repro.baselines import PremaPolicy, StaticPartitionPolicy
+from repro.config import DEFAULT_SOC
 from repro.experiments.golden import summary_fingerprint
 from repro.experiments.parallel import ParallelRunner, Supervision
 from repro.experiments.runner import (
@@ -253,7 +259,7 @@ def test_stream_key_covers_every_task_field_but_the_target(field):
     other = {
         "task_id": "other",
         "network_name": "other",
-        "cost": replace(task.cost),
+        "cost": replace(task.cost, blocks=task.cost.blocks[:-1]),
         "dispatch_cycle": task.dispatch_cycle + 1.0,
         "priority": (task.priority + 1) % 12,
         "qos_target_cycles": task.qos_target_cycles * 2,
@@ -262,3 +268,124 @@ def test_stream_key_covers_every_task_field_but_the_target(field):
     changed = replace(task, **{field: other})
     same = _stream_key([changed]) == _stream_key([task])
     assert same == (field == "qos_target_cycles")
+
+
+@pytest.fixture()
+def pool_simulations(monkeypatch, tmp_path):
+    """Policy names of every simulation the runner starts, in this
+    process or in a forked pool worker (one line each in a file)."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("counting inside workers needs fork-started pools")
+    log = tmp_path / "simulations.log"
+    log.touch()
+    real = runner.run_simulation
+
+    def counting(soc, tasks, policy, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(policy.name + "\n")
+        return real(soc, tasks, policy, **kwargs)
+
+    monkeypatch.setattr(runner, "run_simulation", counting)
+    return lambda: log.read_text().split()
+
+
+def exports(matrix):
+    return {
+        label: (
+            reporting.sweep_to_json({label: row}),
+            reporting.sweep_to_csv({label: row}),
+        )
+        for label, row in matrix.items()
+    }
+
+
+BLIND = {"prema": PremaPolicy, "static": StaticPartitionPolicy}
+
+
+def test_pool_simulates_once_per_stream(pool_simulations):
+    specs = triplet("a", num_tasks=12, seeds=(1, 2))
+    pool = ParallelRunner(workers=2)
+    acc = pool.run_supervised(
+        specs, BLIND, supervision=Supervision(max_retries=0)
+    )
+    assert pool.last_mode == "parallel" and acc.complete
+    # Two seeds x two policies: four streams, each simulated once.
+    assert Counter(pool_simulations()) == {"prema": 2, "static": 2}
+    assert exports(acc.matrix()) == exports(run_matrix(specs, BLIND))
+
+
+def test_pool_store_is_empty_on_return(monkeypatch):
+    stores = []
+
+    class Recording(parallel._SiblingTrajectories):
+        def __init__(self, work):
+            super().__init__(work)
+            self.held = 0
+            stores.append(self)
+
+        def record(self, payload, trajectory):
+            super().record(payload, trajectory)
+            self.held = max(self.held, len(self.trajectories))
+
+    monkeypatch.setattr(parallel, "_SiblingTrajectories", Recording)
+    specs = triplet("a", num_tasks=8, seeds=(1, 2))
+    ParallelRunner(workers=2).run_supervised(
+        specs, BLIND, supervision=Supervision(max_retries=0)
+    )
+    [store] = stores
+    assert store.held > 0
+    assert store.trajectories == {}
+
+
+def payload(spec, name, factory, seed, index=0):
+    return (index, 0, spec, name, factory, seed, DEFAULT_SOC, None)
+
+
+def test_handoff_serves_only_a_matching_stream(simulations):
+    specs = triplet("c", num_tasks=16)
+    first, handed = parallel._run_cell_supervised(
+        payload(specs[0], "prema", PremaPolicy, 1), 0, share=True
+    )
+    assert handed is not None and simulations == ["prema"]
+    # The sibling with the same seed is served from the hand-off.
+    served, none = parallel._run_cell_supervised(
+        payload(specs[1], "prema", PremaPolicy, 1), 0, handed
+    )
+    assert none is None and simulations == ["prema"]
+    # Another seed's stream does not match: simulated, not served.
+    other, none = parallel._run_cell_supervised(
+        payload(specs[1], "prema", PremaPolicy, 2), 0, handed
+    )
+    assert none is None and simulations == ["prema"] * 2
+    for cell, seed in ((served, 1), (other, 2)):
+        fresh_summary, fresh = run_cell_detail(
+            specs[1], "prema", PremaPolicy, seed
+        )
+        assert summary_fingerprint(cell.summary) == summary_fingerprint(
+            fresh_summary
+        )
+        assert cell.summary == fresh_summary
+        assert (cell.events, cell.decisions) == (
+            fresh.events, fresh.decisions
+        )
+
+
+def test_sanitized_handoff_is_resimulated(simulations, sanitized):
+    specs = triplet("a", num_tasks=12)
+    _, handed = parallel._run_cell_supervised(
+        payload(specs[0], "static", StaticPartitionPolicy, 3), 0,
+        share=True,
+    )
+    parallel._run_cell_supervised(
+        payload(specs[2], "static", StaticPartitionPolicy, 3), 0, handed
+    )
+    # The served cell was re-simulated and compared.
+    assert simulations == ["static"] * 2
+    specs = triplet("c", num_tasks=40)
+    _, wrong = parallel._run_cell_supervised(
+        payload(specs[0], "edf", EarliestDeadlineSlots, 1), 0, share=True
+    )
+    with pytest.raises(sanitizer.SanitizerError, match="reads_sla_targets"):
+        parallel._run_cell_supervised(
+            payload(specs[1], "edf", EarliestDeadlineSlots, 1), 0, wrong
+        )
