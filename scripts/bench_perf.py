@@ -8,9 +8,9 @@ bit-identical metrics, and writes everything to ``BENCH_perf.json`` so
 every future performance PR has a trajectory to beat.
 
 Both timed legs run warm and symmetric: the parent's caches are
-pre-built, then the worker pool is started and cache-warmed (via the
-executor's pool initializer plus a barrier-rendezvoused probe per
-worker) before *either* leg's timer starts — spawn-start hosts no
+pre-built, then the worker pool is started and cache-warmed (each
+worker warms up and reports ready, and ``start_pool`` waits for every
+ready message) before *either* leg's timer starts — spawn-start hosts no
 longer pay worker cold-start inside the timed region (the PR 1 review
 flag), and fork-start workers snapshot the parent before the serial
 leg can build up extra memo state for them to inherit.
@@ -526,8 +526,8 @@ def _engine_only(args) -> int:
 def _prewarm_caches() -> None:
     """Warm the parent's network-cost and predict-memo caches up front
     so the timed serial leg starts warm — symmetric with the parallel
-    leg, whose workers are warmed by the pool initializer before its
-    timer starts."""
+    leg, whose workers warm up before they report ready, ahead of its
+    timer."""
     soc = DEFAULT_SOC
     mem = MemoryHierarchy.from_soc(soc)
     warm_network_cost_cache(workload_set("C"), soc, mem)

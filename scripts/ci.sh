@@ -186,6 +186,20 @@ fi
 diff -r "$EXPORT_TMP/faulted" "$EXPORT_TMP/serial"
 echo "crash -> resume byte-identical"
 
+echo "== hung worker (timeout -> replace that worker -> retry, byte-exact) =="
+# A cell that hangs on its first attempt must time out; only the
+# worker running it is terminated and replaced (the other worker keeps
+# going), the cell is retried, and the exports must be byte-identical
+# to the fault-free serial reference.
+python -m repro.cli sweep \
+    --scenarios bursty-mixed,diurnal-light \
+    --tasks 16 --seeds 1,2 --workers 2 \
+    --inject-faults 'hang:cells=3:attempts=1:seconds=60' \
+    --cell-timeout 2 --max-retries 1 \
+    --out "$EXPORT_TMP/hung" --format json,csv
+diff -r "$EXPORT_TMP/hung" "$EXPORT_TMP/serial"
+echo "hung worker -> retry byte-identical"
+
 echo "== coordinator gate (in-process lease stealing, byte-exact) =="
 # ISSUE acceptance gate: an in-process coordinator with two live
 # workers and one dead one (lease taken, never heard from again) must

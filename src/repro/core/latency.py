@@ -807,7 +807,7 @@ class PrecomputeStore:
     """On-disk cross-cell precompute store for network block costs.
 
     One JSON file per :func:`precompute_digest` key under ``root``.
-    Multiple worker processes (a warm pool's initializers, several
+    Multiple worker processes (a warm pool's workers, several
     ``sweep --worker`` hosts on a shared filesystem) read and write
     the same directory concurrently: reads never block writers, and
     writes go through a per-pid temp file plus an atomic
@@ -923,9 +923,9 @@ def warm_network_cost_cache(
     the ``T_full`` points the simulator's ``current_block_times`` and
     the workload generator's isolated/QoS sizing evaluate, so a warmed
     process serves those lookups from memo from the first cell.  The
-    parallel executor's worker initializer calls this once per worker
-    process; ``scripts/bench_perf.py`` uses it to keep cold-start out
-    of the timed legs.
+    parallel executor's workers call this once each as they warm up;
+    ``scripts/bench_perf.py`` uses it to keep cold-start out of the
+    timed legs.
 
     With ``store`` (a :class:`PrecomputeStore` or a directory path),
     cold networks are first looked up on disk — a hit installs the

@@ -14,9 +14,9 @@ Fault kinds
 
 ``crash``
     The worker process dies via ``os._exit`` — the hard way, no
-    cleanup handlers — which surfaces to the parent as a
-    ``BrokenProcessPool``.  Only ever fires inside a pool worker
-    (detected via the install flag the pool initializer sets);
+    cleanup handlers — which the parent sees as that worker's death.
+    Only ever fires inside a pool worker (detected via the install
+    flag the worker's warm-up sets);
     injecting it into the parent would kill the harness itself.
 ``hang``
     The cell sleeps ``seconds`` (default far beyond any sane cell
@@ -40,7 +40,7 @@ Activation
 ----------
 
 A plan is *installed* process-globally (:func:`install_plan`) — in
-workers via the pool initializer (every worker of a pool sees the
+workers as they warm up (every worker of a pool sees the
 same plan), in the parent by the supervised serial path.  The
 ``in_worker`` flag recorded at install time gates the process-fatal
 kinds.  ``_run_cell`` consults :func:`maybe_inject` exactly once per
@@ -168,7 +168,7 @@ class FaultPlan:
     The first matching rule wins (evaluation order is rule order), so
     a plan can e.g. crash cell 3 while transiently failing 10% of the
     rest.  Plans are frozen dataclasses of primitives — they pickle
-    across the pool initializer boundary and compare by value.
+    across the process boundary and compare by value.
     """
 
     rules: Tuple[FaultRule, ...] = field(default_factory=tuple)

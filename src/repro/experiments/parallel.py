@@ -4,8 +4,8 @@ The paper's evaluation is a matrix of independent cells — one
 ``(scenario, policy, seed)`` triple per simulation — and every cell is
 a pure function of its inputs (the workload generator reseeds from the
 cell's seed, the engine is exactly deterministic).  That makes the
-harness embarrassingly parallel, and this module exploits it with a
-:class:`concurrent.futures.ProcessPoolExecutor`.
+harness embarrassingly parallel, and this module fans it over a small
+pool of worker processes, each fed through its own duplex pipe.
 
 Streaming model
 ---------------
@@ -13,30 +13,45 @@ Streaming model
 :meth:`ParallelRunner.iter_cells` flattens ``specs x policies x
 seeds`` into indexed cell payloads, ships them to worker processes in
 chunks, and **yields one** :class:`~repro.experiments.results.
-CellResult` **per completed cell as its future resolves** — no barrier
-across the sweep.  Completion order is nondeterministic in pool mode;
-every cell carries its global submission index, and
+CellResult` **per completed cell as its chunk comes back** — no
+barrier across the sweep.  Completion order is nondeterministic in
+pool mode; every cell carries its global submission index, and
 :class:`~repro.experiments.results.SweepResults` folds the stream back
 into the deterministic ``{label: {policy: ScenarioResult}}`` matrix.
 :meth:`ParallelRunner.run_matrix` is exactly that composition, so it
 stays drop-in interchangeable and numerically identical with the
 serial :func:`repro.experiments.runner.run_matrix`.
 
+Worker pool
+-----------
+
+Each worker is a process with one duplex pipe.  It warms up, sends a
+ready message, then runs pickled ``(fn, args)`` tasks in order and
+answers each with ``(ok, result or exception)``.  The parent
+multiplexes every pipe and process sentinel with
+:func:`multiprocessing.connection.wait` — no helper threads, no
+futures — so it knows which cell each worker is running: a crash or
+a timeout is charged to that cell, and only that worker is replaced.
+``connection.wait`` polls any number of objects on POSIX; on Windows
+it takes at most 64 handles, two per worker, which caps a pool there
+at 32 workers.
+
 Warm workers
 ------------
 
-Every worker process is started with an initializer that pre-warms the
-process-global network-cost cache and the per-block predict memos for
-the models of the sweep (:func:`repro.core.latency.
-warm_network_cost_cache`).  Fork-start hosts inherit the parent's warm
-caches anyway; on spawn-start hosts the initializer is what keeps each
-cell from paying the cold-start that PR 1's review flagged.  Each
-:class:`CellResult` carries cache hit/miss deltas, so warmth is
-observable: a warm worker's cells report zero ``cost_cache_misses``.
+Every worker process first pre-warms the process-global network-cost
+cache and the per-block predict memos for the models of the sweep
+(:func:`repro.core.latency.warm_network_cost_cache`), then sends its
+parent a ready message.  Fork-start hosts inherit the parent's warm
+caches anyway; on spawn-start hosts the warm-up is what keeps each
+cell from paying the cold start.  Each :class:`CellResult` carries
+cache hit/miss deltas, so warmth is observable: a warm worker's cells
+report zero ``cost_cache_misses``.
 
 For timing-sensitive callers, :meth:`ParallelRunner.start_pool` makes
-the pool persistent and forces every worker to spawn (and warm) *now*;
-subsequent :meth:`run_matrix` / :meth:`iter_cells` calls reuse it —
+the pool persistent and waits for every worker's ready message, so
+each one has started and warmed *now*; subsequent :meth:`run_matrix` /
+:meth:`iter_cells` / :meth:`run_supervised` calls reuse it —
 ``scripts/bench_perf.py`` warms the pool before its timed leg this
 way.  :meth:`close_pool` (or using the runner as a context manager)
 releases it.
@@ -71,15 +86,16 @@ performance PR should beat the checked-in trajectory.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from collections import deque
 from dataclasses import dataclass, fields, replace
-from itertools import islice
+from multiprocessing import connection
 from typing import (
+    Deque,
     Dict,
     Iterator,
     List,
@@ -337,12 +353,12 @@ class _SiblingTrajectories:
 
     def awaits(self, payload: _CellPayload, inflight: Dict) -> bool:
         """Whether ``payload``'s trajectory is on its way: the sibling
-        asked to return it is still in flight."""
+        asked to return it is still in flight (``inflight`` is keyed
+        by cell index)."""
         hint = self._hints.get(payload[0])
         if hint is None or hint in self.trajectories:
             return False
-        asked = self._asked.get(hint)
-        return any(entry[0][0] == asked for entry in inflight.values())
+        return self._asked.get(hint) in inflight
 
     def submit(
         self, payload: _CellPayload
@@ -382,11 +398,9 @@ def _warm_worker(
     fault_plan: Optional[FaultPlan] = None,
     store_dir: Optional[str] = None,
 ) -> int:
-    """Pool initializer: pre-warm this worker's cost/predict caches.
+    """Worker warm-up: pre-warm this worker's cost/predict caches.
 
-    Runs once per worker process before it takes any cell; idempotent
-    (re-running is a pure cache hit), so it doubles as the payload of
-    :meth:`ParallelRunner.start_pool`'s spawn-forcing probes.
+    Runs once per worker process before it takes any cell.
 
     ``fault_plan`` activates deterministic fault injection *in this
     worker* (the per-cell harness of :mod:`repro.experiments.faults`);
@@ -408,40 +422,255 @@ def _warm_worker(
     )
 
 
-def _warm_probe(
-    model_names: Sequence[str],
-    soc: SoCConfig,
-    barrier=None,
-) -> Tuple[int, bool]:
-    """Pool task that warms (idempotently) and reports its worker pid.
+#: Seconds :meth:`ParallelRunner.start_pool` waits for every worker's
+#: ready message before counting the late ones as warm-up timeouts.
+_WARMUP_TIMEOUT = 60.0
 
-    ``barrier`` (a manager-proxied ``multiprocessing.Barrier`` sized
-    to the worker count) makes the probes a true rendezvous: each
-    probe blocks until every worker holds one, so N probes provably
-    ran on N *distinct*, fully initialized workers — without it, one
-    fast worker could drain every probe while its siblings are still
-    cold-starting.  A broken/timed-out barrier (e.g. a worker died)
-    degrades to returning anyway rather than wedging the pool — but
-    no longer silently: the returned flag records the failed
-    rendezvous so the parent can warn and count it in telemetry
-    (:attr:`ParallelRunner.last_warmup_timeouts`), instead of the
-    distinct-worker guarantee degrading invisibly.
+#: Largest task (pickled bytes) written to a worker that is still
+#: busy.  Default pipe buffers hold at least 8 KiB on every platform,
+#: so such a write completes while the worker runs its current task;
+#: a larger task waits until the worker has answered everything sent
+#: before it.  Otherwise a worker blocked writing a large reply and a
+#: parent blocked writing it a large task could wait on each other.
+_PIPE_BYTES = 8192
+
+#: ``connection.wait`` on Windows hands all its objects to one
+#: ``WaitForMultipleObjects`` call, which takes at most 64 handles; a
+#: pipe and a process sentinel per worker cap a pool at 32 workers
+#: there.  POSIX waits with ``poll`` and has no such cap.
+_MAX_WORKERS = 32 if sys.platform == "win32" else sys.maxsize
+
+
+def _worker_main(conn, warm_args: tuple) -> None:
+    """Pool worker process: warm up, say ready, then run tasks.
+
+    Each task is a pickled ``(fn, args)``; the reply is ``(True,
+    fn(*args))`` or ``(False, exception)``, in task order.  A reply
+    that cannot cross the pipe comes back as a :class:`RuntimeError`
+    carrying its ``repr``.
     """
-    # Warm directly rather than via _warm_worker: re-running the
-    # initializer would clobber the fault plan it installed.
-    from repro.core.latency import warm_network_cost_cache
-    from repro.models.zoo import build_model
-
-    warm_network_cost_cache(
-        [build_model(name) for name in model_names], soc
-    )
-    warmup_timed_out = False
-    if barrier is not None:
+    _warm_worker(*warm_args)
+    conn.send_bytes(pickle.dumps("ready"))
+    while True:
         try:
-            barrier.wait(timeout=60)
+            task = pickle.loads(conn.recv_bytes())
+        except EOFError:
+            return
+        if task is None:
+            return
+        fn, args = task
+        try:
+            reply = (True, fn(*args))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+            if not reply[0]:
+                pickle.loads(data)  # the exception must rebuild, too
         except Exception:
-            warmup_timed_out = True
-    return os.getpid(), warmup_timed_out
+            data = pickle.dumps((False, RuntimeError(
+                f"reply cannot cross the pipe: {reply[1]!r}"
+            )))
+        conn.send_bytes(data)
+
+
+class _Worker:
+    """One pool worker: its process, the parent's end of its pipe,
+    whether its ready message has arrived, the caller's entry for each
+    task given to it and not yet answered — oldest (running) first —
+    and the pickled tasks at the end of that line not yet written
+    (see :data:`_PIPE_BYTES`)."""
+
+    __slots__ = ("proc", "conn", "ready", "tasks", "held")
+
+    def __init__(self, proc, conn) -> None:
+        self.proc = proc
+        self.conn = conn
+        self.ready = False
+        self.tasks: Deque = deque()
+        self.held: Deque[bytes] = deque()
+
+
+class _WorkerPool:
+    """Worker processes, one duplex pipe each.
+
+    The parent sends a worker tasks with :meth:`send` and collects
+    replies and deaths with :meth:`wait`, which multiplexes every
+    worker's pipe and process sentinel through
+    :func:`multiprocessing.connection.wait`.  A worker answers its
+    tasks in order, so the parent always knows which task each worker
+    is running (the oldest unanswered one) — a crash or a hang is
+    charged to that task alone, and only that worker is replaced
+    (:meth:`respawn`).
+    """
+
+    def __init__(self, size: int, warm_args: tuple) -> None:
+        self._warm_args = warm_args
+        self.workers: List[_Worker] = []
+        try:
+            for _ in range(size):
+                self.workers.append(self._spawn())
+        except BaseException:
+            self.close()
+            raise
+
+    def _spawn(self) -> _Worker:
+        # The platform's default start method: fork-start workers
+        # inherit the parent's warm caches, so warm-up takes
+        # milliseconds; spawn-start workers warm from scratch.
+        ctx = multiprocessing.get_context()
+        conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(
+            target=_worker_main, args=(child_conn, self._warm_args),
+            daemon=True,
+        )
+        try:
+            proc.start()
+        except BaseException:
+            conn.close()
+            raise
+        finally:
+            child_conn.close()
+        return _Worker(proc, conn)
+
+    @property
+    def busy(self) -> bool:
+        """Whether any task is still unanswered."""
+        return any(w.tasks for w in self.workers)
+
+    def free_worker(self) -> Optional[_Worker]:
+        """The worker with the fewest unanswered tasks, if that is
+        under two: a worker starts its next task while the parent
+        handles the reply to its last."""
+        worker = min(self.workers, key=lambda w: len(w.tasks))
+        return worker if len(worker.tasks) < 2 else None
+
+    def send(self, worker: _Worker, entry, fn, *args) -> None:
+        """Give ``worker`` the task ``fn(*args)``; ``entry`` is the
+        caller's record of it, handed back with the reply."""
+        worker.tasks.append(entry)
+        worker.held.append(
+            pickle.dumps((fn, args), pickle.HIGHEST_PROTOCOL)
+        )
+        self._flush(worker)
+
+    @staticmethod
+    def _flush(worker: _Worker) -> None:
+        """Write ``worker``'s held tasks that its pipe can take now."""
+        while worker.held:
+            busy = len(worker.tasks) > len(worker.held)
+            if busy and len(worker.held[0]) > _PIPE_BYTES:
+                return
+            try:
+                worker.conn.send_bytes(worker.held.popleft())
+            except OSError:
+                return  # the worker is gone: wait() reports it
+
+    def wait(self, timeout: Optional[float] = None):
+        """Wait up to ``timeout`` seconds (``None``: until something
+        happens) for replies.
+
+        Returns ``(replies, dead)``: a ``(worker, entry, ok, value)``
+        per reply, and the workers found dead, whose unanswered
+        entries are still in their ``tasks``.
+        """
+        owners: Dict[object, _Worker] = {}
+        for w in self.workers:
+            owners[w.conn] = owners[w.proc.sentinel] = w
+        fired = set(connection.wait(list(owners), timeout))
+        replies = []
+        dead = []
+        for w in self.workers:
+            exited = w.proc.sentinel in fired
+            try:
+                if w.conn in fired and not exited:
+                    # One message per wake-up: a second one fires the
+                    # next wait at once.
+                    self._receive(w, replies)
+                while exited and w.conn.poll():
+                    # An exited worker's pipe may still hold replies
+                    # it sent before it exited.
+                    self._receive(w, replies)
+            except (EOFError, OSError):
+                exited = True
+            if exited:
+                dead.append(w)
+        return replies, dead
+
+    def _receive(self, worker: _Worker, replies: list) -> None:
+        message = pickle.loads(worker.conn.recv_bytes())
+        if not worker.ready:
+            worker.ready = True  # the first message says ready
+        else:
+            ok, value = message
+            replies.append((worker, worker.tasks.popleft(), ok, value))
+            self._flush(worker)
+
+    def wait_ready(self, timeout: float) -> int:
+        """Block until every worker has sent its ready message, or
+        ``timeout`` seconds pass; returns how many are still warming.
+
+        Raises:
+            ChildProcessError: A worker died before it was ready.
+        """
+        deadline = time.monotonic() + timeout
+        while True:
+            late = sum(1 for w in self.workers if not w.ready)
+            left = deadline - time.monotonic()
+            if not late or left <= 0:
+                return late
+            _, dead = self.wait(left)
+            if dead:
+                raise ChildProcessError(_death_message(dead[0]))
+
+    def respawn(self, worker: _Worker) -> None:
+        """Stop ``worker`` (dead, hung or running abandoned tasks) and
+        start a fresh process in its slot.
+
+        Raises:
+            OSError: The successor could not start.
+        """
+        self._stop([worker], terminate=True)
+        self.workers[self.workers.index(worker)] = self._spawn()
+
+    def reset(self) -> None:
+        """Respawn every worker holding unanswered tasks, so no stale
+        reply reaches the pool's next user."""
+        for worker in list(self.workers):
+            if worker.tasks:
+                self.respawn(worker)
+
+    def close(self) -> None:
+        """Stop every worker: idle ones are told to exit, busy ones
+        are terminated."""
+        workers, self.workers = self.workers, []
+        self._stop(workers)
+
+    @staticmethod
+    def _stop(workers: Sequence[_Worker], terminate: bool = False) -> None:
+        for w in workers:
+            if terminate or w.tasks or not w.proc.is_alive():
+                w.proc.terminate()
+            else:
+                try:
+                    w.conn.send_bytes(pickle.dumps(None))
+                except OSError:
+                    w.proc.terminate()
+        for w in workers:
+            w.proc.join(timeout=5)
+            if w.proc.is_alive():
+                w.proc.kill()
+                w.proc.join()
+            w.conn.close()
+
+
+def _death_message(worker: _Worker) -> str:
+    """What a dead worker's failure says: its pid and exit code."""
+    worker.proc.join(timeout=1)
+    return (
+        f"worker process {worker.proc.pid} died "
+        f"(exit code {worker.proc.exitcode})"
+    )
 
 
 def _spec_model_names(specs: Sequence[ScenarioSpec]) -> Tuple[str, ...]:
@@ -498,10 +727,10 @@ class ParallelRunner:
             chunk that splits the payload across ``4 x workers``
             slices so uneven cells rebalance.  Streaming granularity
             is one chunk: a chunk's cells are yielded together when
-            its future completes.
-        warm_start: Start every worker with the cache-warming
-            initializer (default True; fork hosts inherit warmth
-            either way, spawn hosts need it).
+            its worker answers.
+        warm_start: Have every worker warm the sweep's models
+            before it reports ready (default True; fork hosts inherit
+            warmth either way, spawn hosts need it).
         last_timings: Per-cell wall-clock timings of the most recent
             :meth:`run_matrix` call, in submission order (spec, then
             policy, then seed) — not completion order.
@@ -552,7 +781,7 @@ class ParallelRunner:
         #: Directory of an on-disk
         #: :class:`~repro.core.latency.PrecomputeStore`; when set,
         #: the parent warms from/into it before building payloads and
-        #: every pool worker's initializer does the same, sharing the
+        #: every pool worker's warm-up does the same, sharing the
         #: block-cost precompute across processes and runs.
         self.precompute_dir = (
             os.fspath(precompute_dir)
@@ -564,23 +793,22 @@ class ParallelRunner:
         self._precompute_warmed: Set[Tuple[Tuple[str, ...], SoCConfig]]
         self._precompute_warmed = set()
         #: Deterministic fault plan installed into every pool worker
-        #: (via the initializer) — the testing seam that makes the
+        #: (at its warm-up) — the testing seam that makes the
         #: failure paths below reproducible.  ``None`` in production.
         self.fault_plan = fault_plan
         self.last_timings: List[CellTiming] = []
         self.last_cells: List[CellResult] = []
         self.last_sweep: Optional[SweepResults] = None
         self.last_mode: str = "serial"
-        #: Warm probes whose barrier rendezvous timed out in the most
-        #: recent :meth:`start_pool` (0 = every worker rendezvoused).
+        #: Workers not ready within the warm-up timeout in the most
+        #: recent :meth:`start_pool` (0 = every worker was ready).
         self.last_warmup_timeouts: int = 0
         #: Same, accumulated over every pool this runner has started —
         #: the telemetry workers report to a coordinator over the
         #: heartbeat channel (a runner can warm several pools in one
         #: sweep; the coordinator wants the run total, not the last).
         self.total_warmup_timeouts: int = 0
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_workers = 0
+        self._pool: Optional[_WorkerPool] = None
 
     # ------------------------------------------------------------------
     # Persistent pool management
@@ -593,23 +821,20 @@ class ParallelRunner:
     ) -> List[int]:
         """Start a persistent worker pool and warm it *now*.
 
-        Creates the pool (with the warm initializer covering the
-        models of ``specs``), then submits one warm probe per worker,
-        rendezvoused on a barrier so every worker process provably
-        spawns and builds its caches before this call returns —
-        moving cold-start out of whatever the caller times next.
-        (Without the rendezvous a fast worker could consume all the
-        probes while its siblings are still initializing.)  If the
-        barrier machinery itself is unavailable (no manager process
-        in this sandbox), the probes still run, just without the
-        distinct-worker guarantee.  Subsequent :meth:`run_matrix` /
-        :meth:`iter_cells` calls reuse the pool until
-        :meth:`close_pool`.
+        Starts the workers (each warming the models of ``specs``) and
+        waits for every worker's ready message, so each one has
+        started and built its caches before this call returns —
+        moving cold start out of whatever the caller times next.  A
+        worker not ready within 60 s is counted in
+        :attr:`last_warmup_timeouts` (and warned about) instead of
+        waited for.  Subsequent :meth:`run_matrix` /
+        :meth:`iter_cells` / :meth:`run_supervised` calls reuse the
+        pool until :meth:`close_pool`.
 
         Returns:
-            The distinct worker pids that answered the probes (empty
-            if the pool could not start; the runner then degrades to
-            per-call pools / serial fallback as usual).
+            The worker pids, sorted (empty if the pool could not
+            start; the runner then degrades to per-call pools /
+            serial fallback as usual).
         """
         if self._pool is not None:
             raise RuntimeError("pool already started")
@@ -621,62 +846,37 @@ class ParallelRunner:
         spec_list = resolve_scenarios(specs) if specs else []
         if soc is None:
             soc = DEFAULT_SOC
-        workers = min(self.workers, 61)
+        workers = min(self.workers, _MAX_WORKERS)
         pool = None
-        manager = None
         try:
-            pool = self._make_pool(workers, spec_list, soc)
-            model_names = _spec_model_names(spec_list)
-            barrier = None
-            if workers > 1:
-                import multiprocessing
-
-                try:
-                    manager = multiprocessing.Manager()
-                    barrier = manager.Barrier(workers)
-                except Exception:
-                    manager = None  # degrade: probes without rendezvous
-            probes = [
-                pool.submit(_warm_probe, model_names, soc, barrier)
-                for _ in range(workers)
-            ]
-            wait(probes)
-            answers = [p.result() for p in probes]
-            pids = sorted({pid for pid, _ in answers})
-            self.last_warmup_timeouts = sum(
-                1 for _, timed_out in answers if timed_out
-            )
-            self.total_warmup_timeouts += self.last_warmup_timeouts
-            if self.last_warmup_timeouts:
-                print(
-                    f"parallel: warm-up rendezvous timed out on "
-                    f"{self.last_warmup_timeouts} of {workers} "
-                    f"probe(s); the distinct-worker warm-start "
-                    f"guarantee does not hold for this pool",
-                    file=sys.stderr,
-                )
-        except (OSError, BrokenProcessPool) as exc:
+            pool = self._new_pool(workers, spec_list, soc)
+            late = pool.wait_ready(_WARMUP_TIMEOUT)
+        except OSError as exc:
             if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
+                pool.close()
             print(
                 f"parallel: persistent pool unavailable "
                 f"({type(exc).__name__}: {exc})",
                 file=sys.stderr,
             )
             return []
-        finally:
-            if manager is not None:
-                manager.shutdown()
+        self.last_warmup_timeouts = late
+        self.total_warmup_timeouts += late
+        if late:
+            print(
+                f"parallel: {late} of {workers} worker(s) not ready "
+                f"after {_WARMUP_TIMEOUT:g}s of warm-up; the warm-start "
+                f"guarantee does not hold for this pool",
+                file=sys.stderr,
+            )
         self._pool = pool
-        self._pool_workers = workers
-        return pids
+        return sorted(w.proc.pid for w in pool.workers)
 
     def close_pool(self) -> None:
         """Shut the persistent pool down (no-op without one)."""
         if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool.close()
             self._pool = None
-            self._pool_workers = 0
 
     def __enter__(self) -> "ParallelRunner":
         return self
@@ -684,46 +884,51 @@ class ParallelRunner:
     def __exit__(self, *exc_info) -> None:
         self.close_pool()
 
-    def _make_pool(
+    def _new_pool(
         self,
         workers: int,
         spec_list: Sequence[ScenarioSpec],
         soc: SoCConfig,
-    ) -> ProcessPoolExecutor:
-        warm = self.warm_start and spec_list
-        if (
-            warm
-            or self.fault_plan is not None
-            or self.precompute_dir is not None
-        ):
-            return ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_warm_worker,
-                initargs=(
-                    _spec_model_names(spec_list) if warm else (),
-                    soc,
-                    self.fault_plan,
-                    self.precompute_dir,
-                ),
-            )
-        return ProcessPoolExecutor(max_workers=workers)
+    ) -> _WorkerPool:
+        names = _spec_model_names(spec_list) if self.warm_start else ()
+        return _WorkerPool(
+            workers, (names, soc, self.fault_plan, self.precompute_dir)
+        )
 
-    @staticmethod
-    def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down even if a worker is wedged.
+    def _acquire_pool(
+        self,
+        cells: int,
+        spec_list: Sequence[ScenarioSpec],
+        soc: SoCConfig,
+    ) -> Tuple[_WorkerPool, bool]:
+        """The persistent pool, or a new one sized for ``cells``
+        cells; the flag says whether the caller owns (and closes) it.
 
-        ``shutdown`` alone would join a hung worker forever; after
-        cancelling what has not started, any worker process still
-        alive is terminated outright.  Reaches into executor
-        internals (``_processes``) — guarded, and acceptable for a
-        pool that is already being discarded for cause.
+        Raises:
+            OSError: No pool could start.
         """
-        # ``shutdown`` drops ``_processes``: take the handles first.
-        procs = list((getattr(pool, "_processes", None) or {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
+        if self._pool is not None:
+            return self._pool, False
+        workers = min(self.workers, cells, _MAX_WORKERS)
+        return self._new_pool(workers, spec_list, soc), True
+
+    def _release_pool(
+        self, pool: _WorkerPool, owned: bool, broken: bool = False
+    ) -> None:
+        """Hand a pool back after one executor call: close it if the
+        call owned it or it is ``broken``; otherwise respawn the
+        workers still running abandoned tasks."""
+        if not (owned or broken):
+            try:
+                pool.reset()
+                return
+            except OSError:
+                pass
+        pool.close()
+        if pool is self._pool:
+            # Forget a broken persistent pool so later runs start a
+            # fresh one rather than resubmitting to it.
+            self._pool = None
 
     # ------------------------------------------------------------------
     # Running
@@ -830,27 +1035,26 @@ class ParallelRunner:
           determinism holds because a cell is a pure function of its
           payload — a retried cell yields bit-identical results to a
           first-try success, so supervision never perturbs exports.
-        - **Worker crashes** (``BrokenProcessPool``): the pool is
-          rebuilt and every in-flight cell re-run.  The crash cannot
-          be attributed to one cell, so every cell that may have been
-          running is (conservatively) charged an attempt and re-runs
-          alone; innocents simply succeed on the re-run.  If the pool cannot be rebuilt at
-          all, the remainder drains serially in-process — the old
-          broken-pool fallback, now folded into the same retry
-          ledger.
-        - **Timeouts** (``supervision.cell_timeout``): the hung
-          worker's pool is torn down (hung workers never release
-          their slot voluntarily), the expired cell is charged an
-          attempt, and blameless in-flight cells are re-run without
-          charge.  Unenforceable in serial mode, where a cell cannot
-          be interrupted.
+        - **Worker crashes** (a worker process died): the cell that
+          worker was running is charged an attempt; the cell it had
+          prefetched re-runs uncharged, and only that worker is
+          replaced.  Cells on the other workers are untouched.  If
+          no replacement can start, the remainder drains serially
+          in-process — the broken-pool fallback, folded into the
+          same retry ledger.
+        - **Timeouts** (``supervision.cell_timeout``): the worker
+          running the expired cell is terminated and replaced (a
+          hung worker never answers), the expired cell is charged an
+          attempt, and its prefetched cell re-runs uncharged.  The
+          other workers keep running.  Unenforceable in serial mode,
+          where a cell cannot be interrupted.
 
         Args:
             specs / policies / soc / indices: As :meth:`iter_cells`.
             supervision: The retry/timeout/backoff/fault policy
                 (defaults to :class:`Supervision`'s defaults).  Its
                 ``fault_plan`` (or the runner's) is installed in
-                every worker via the pool initializer, and in this
+                every worker as it warms up, and in this
                 process for the in-process-safe fault kinds.
             acc: Accumulator to fold into (for resume: pre-populated
                 with previously completed cells); a fresh one is
@@ -1003,50 +1207,38 @@ class ParallelRunner:
     ) -> List[Tuple[_CellPayload, int]]:
         """Pool half of :meth:`run_supervised`.
 
-        Cells are submitted individually (supervision granularity is
-        one cell, unlike the throughput path's chunks) through a
-        bounded in-flight window of two cells per worker, so a worker
-        picks up its next cell while the parent records the last.
-        Pool pickup is FIFO, so only the ``workers`` oldest in-flight
-        cells can be running: a cell's wall-clock deadline is stamped
-        when it becomes one of them, and a worker crash charges an
-        attempt to those alone.  A cell still queued behind them is
-        re-run uncharged, and a charged cell re-runs alone, so a
-        second crash is attributed exactly.  SLA-blind QoS siblings
-        share one simulated trajectory through a
-        :class:`_SiblingTrajectories` store that lives for this call.
+        Cells are sent individually (supervision granularity is one
+        cell, unlike the throughput path's chunks), two per worker,
+        so a worker starts its next cell while the parent records
+        the last.  A worker runs its cells in order, so its oldest
+        unanswered cell is the one running: that cell's wall-clock
+        deadline is stamped when it becomes the oldest (once the
+        worker is ready), and a crash or timeout charges it alone.
+        SLA-blind QoS siblings share one simulated trajectory through
+        a :class:`_SiblingTrajectories` store that lives for this
+        call.
 
         Returns the work that still needs the serial fallback (empty
-        unless the pool could not be (re)built); each entry keeps its
-        retry-ledger attempt count.
+        unless no pool, or no replacement worker, could start); each
+        entry keeps its retry-ledger attempt count.
         """
-        from collections import deque
-
         queue = deque(work)
-        pool = self._pool
-        owns_pool = pool is None
-        if pool is not None:
-            workers = min(self._pool_workers, max(len(queue), 1))
-        else:
-            workers = min(self.workers, max(len(queue), 1), 61)
-        if owns_pool:
-            try:
-                pool = self._make_pool(workers, spec_list, soc)
-            except OSError as exc:
-                print(
-                    f"parallel: process pool unavailable "
-                    f"({type(exc).__name__}: {exc}); supervising "
-                    f"{len(queue)} cells serially",
-                    file=sys.stderr,
-                )
-                return list(queue)
+        try:
+            pool, owned = self._acquire_pool(len(queue), spec_list, soc)
+        except OSError as exc:
+            print(
+                f"parallel: process pool unavailable "
+                f"({type(exc).__name__}: {exc}); supervising "
+                f"{len(queue)} cells serially",
+                file=sys.stderr,
+            )
+            return list(queue)
         self.last_mode = "parallel"
-        #: future -> [payload, attempt, deadline or None], oldest
-        #: submission first
-        inflight: Dict[object, list] = {}
-        #: indices of cells charged for a crash (they re-run alone)
-        suspects = set()
+        #: cell index -> [payload, attempt, deadline or None] for the
+        #: cells sent to a worker and not yet answered
+        inflight: Dict[int, list] = {}
         siblings = _SiblingTrajectories(work)
+        broken = False
 
         def requeue(payload: _CellPayload, attempt: int) -> None:
             siblings.requeue(payload)
@@ -1061,143 +1253,108 @@ class ParallelRunner:
             else:
                 requeue(payload, attempt + 1)
 
-        def replace_pool(reason: str):
-            """Discard the (broken or hung) pool; build a successor."""
-            nonlocal owns_pool
-            self._terminate_pool(pool)
-            if not owns_pool:
-                # The persistent pool is a corpse; forget it so later
-                # runs start fresh rather than resubmitting to it.
-                self._pool = None
-                self._pool_workers = 0
-                owns_pool = True
+        def replace_worker(
+            worker: _Worker, kind: str, message: str
+        ) -> bool:
+            """Charge ``worker``'s running cell, requeue its
+            prefetched one uncharged, and start a successor; False if
+            none could start."""
+            for i, (payload, attempt, _) in enumerate(worker.tasks):
+                del inflight[payload[0]]
+                if i:
+                    requeue(payload, attempt)
+                else:
+                    requeue_or_quarantine(payload, attempt, kind, message)
+            worker.tasks.clear()
             try:
-                return self._make_pool(workers, spec_list, soc)
+                pool.respawn(worker)
             except OSError as exc:
                 print(
-                    f"parallel: could not rebuild pool after {reason} "
+                    f"parallel: could not replace a pool worker "
                     f"({type(exc).__name__}: {exc}); draining "
                     f"remaining cells serially",
                     file=sys.stderr,
                 )
-                return None
+                return False
+            return True
+
+        def fall_back() -> List[Tuple[_CellPayload, int]]:
+            nonlocal broken
+            broken = True
+            for payload, attempt, _ in inflight.values():
+                requeue(payload, attempt)
+            return list(queue)
 
         try:
             while queue or inflight:
-                while queue and len(inflight) < 2 * workers:
-                    head = queue[0][0]
-                    if inflight and (
-                        head[0] in suspects
-                        or siblings.awaits(head, inflight)
+                while queue:
+                    worker = pool.free_worker()
+                    if worker is None or (
+                        inflight and siblings.awaits(queue[0][0], inflight)
                     ):
                         break
                     payload, attempt = queue.popleft()
-                    future = pool.submit(
-                        _run_cell_supervised, payload, attempt,
-                        *siblings.submit(payload),
+                    entry = [payload, attempt, None]
+                    pool.send(
+                        worker, entry, _run_cell_supervised, payload,
+                        attempt, *siblings.submit(payload),
                     )
-                    inflight[future] = [payload, attempt, None]
-                    if payload[0] in suspects:
-                        break
+                    inflight[payload[0]] = entry
                 wait_timeout = None
                 if sup.cell_timeout is not None:
                     now = time.monotonic()
-                    running = list(islice(inflight.values(), workers))
-                    for entry in running:
-                        if entry[2] is None:
-                            entry[2] = now + sup.cell_timeout
-                    wait_timeout = max(
-                        0.0, min(e[2] for e in running) - now
-                    )
-                done, _ = wait(
-                    set(inflight), timeout=wait_timeout,
-                    return_when=FIRST_COMPLETED,
-                )
-                pool_broken = False
-                broken_message = ""
-                for future in done:
-                    try:
-                        cell, trajectory = future.result()
-                    except BrokenProcessPool as exc:
-                        # Left in flight: charged (or not) below.
-                        pool_broken = True
-                        broken_message = f"{type(exc).__name__}: {exc}"
-                        continue
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except Exception as exc:
-                        payload, attempt, _ = inflight.pop(future)
-                        if attempt >= sup.max_retries:
-                            quarantine(
-                                payload, attempt + 1, "error",
-                                f"{type(exc).__name__}: {exc}",
-                            )
-                        else:
-                            delay = sup.backoff(attempt)
-                            if delay:
-                                time.sleep(delay)
-                            requeue(payload, attempt + 1)
-                    else:
-                        siblings.record(inflight.pop(future)[0], trajectory)
+                    deadlines = []
+                    for worker in pool.workers:
+                        if worker.ready and worker.tasks:
+                            running = worker.tasks[0]
+                            if running[2] is None:
+                                running[2] = now + sup.cell_timeout
+                            deadlines.append(running[2])
+                    if deadlines:
+                        wait_timeout = max(0.0, min(deadlines) - now)
+                replies, dead = pool.wait(wait_timeout)
+                for _, (payload, attempt, _), ok, value in replies:
+                    del inflight[payload[0]]
+                    if ok:
+                        cell, trajectory = value
+                        siblings.record(payload, trajectory)
                         record_cell(cell)
-                if pool_broken:
-                    # Every in-flight future is doomed with the same
-                    # BrokenProcessPool.  The crasher is one of the
-                    # cells that may have been running but cannot be
-                    # told apart: charge each of them one attempt,
-                    # re-run the rest uncharged, on a fresh pool.
-                    retry_attempts: List[int] = []
-                    for i, (payload, attempt, _) in enumerate(
-                        inflight.values()
-                    ):
-                        if i < workers:
-                            suspects.add(payload[0])
-                            requeue_or_quarantine(
-                                payload, attempt, "crash", broken_message
-                            )
-                            retry_attempts.append(attempt)
-                        else:
-                            requeue(payload, attempt)
-                    inflight.clear()
-                    if retry_attempts:
-                        delay = sup.backoff(min(retry_attempts))
+                    elif attempt >= sup.max_retries:
+                        quarantine(
+                            payload, attempt + 1, "error",
+                            f"{type(value).__name__}: {value}",
+                        )
+                    else:
+                        delay = sup.backoff(attempt)
                         if delay:
                             time.sleep(delay)
-                    pool = replace_pool("worker crash")
-                    if pool is None:
-                        return list(queue)
+                        requeue(payload, attempt + 1)
+                for worker in dead:
+                    delay = (
+                        sup.backoff(worker.tasks[0][1])
+                        if worker.tasks else 0.0
+                    )
+                    if not replace_worker(
+                        worker, "crash", _death_message(worker)
+                    ):
+                        return fall_back()
+                    if delay:
+                        time.sleep(delay)
+                if sup.cell_timeout is None:
                     continue
                 now = time.monotonic()
-                expired = [
-                    future
-                    for future, (_, _, d) in inflight.items()
-                    if d is not None and now >= d
-                ]
-                if expired:
-                    # A hung worker never yields its slot; kill the
-                    # whole pool.  Only the expired cells are charged
-                    # an attempt — blameless in-flight cells re-run
-                    # at their current count.
-                    for future in expired:
-                        payload, attempt, _ = inflight.pop(future)
-                        requeue_or_quarantine(
-                            payload, attempt, "timeout",
+                for worker in list(pool.workers):
+                    deadline = worker.tasks[0][2] if worker.tasks else None
+                    if deadline is not None and now >= deadline:
+                        if not replace_worker(
+                            worker, "timeout",
                             f"cell exceeded the {sup.cell_timeout}s "
                             f"wall-clock timeout",
-                        )
-                    for payload, attempt, _ in inflight.values():
-                        requeue(payload, attempt)
-                    inflight.clear()
-                    pool = replace_pool("cell timeout")
-                    if pool is None:
-                        return list(queue)
+                        ):
+                            return fall_back()
             return []
         finally:
-            if owns_pool and pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
-            else:
-                for future in inflight:
-                    future.cancel()
+            self._release_pool(pool, owned, broken)
 
     # ------------------------------------------------------------------
 
@@ -1221,7 +1378,7 @@ class ParallelRunner:
             # block accounting here, before any payload ships.  This
             # covers the serial fallback and fork-start pools (the
             # children inherit the warmed cache); spawn-start workers
-            # re-warm from the same store in their initializer.
+            # re-warm from the same store in their warm-up.
             self._warm_from_store(spec_list, soc)
         cells = [
             (spec_idx, spec, name, factory, seed)
@@ -1301,18 +1458,17 @@ class ParallelRunner:
                     yield cell
                 self.last_mode = "parallel"
                 return
-            except (OSError, BrokenProcessPool) as exc:
-                # Pool could not start or died (sandboxes, restricted
-                # environments, spawn-bootstrap child crashes); the
-                # cells are identical either way, only slower.  Errors
-                # raised *by a worker's simulation* (SimulationError
-                # and friends) propagate — rerunning serially would
-                # only hit them again.  Cells that already streamed
-                # out stay streamed; only the remainder reruns here.
-                # A broken *persistent* pool is discarded so the next
-                # run can start a fresh one instead of resubmitting to
-                # the corpse forever.
-                self.close_pool()
+            except OSError as exc:
+                # Pool could not start or a worker died (sandboxes,
+                # restricted environments, spawn-bootstrap child
+                # crashes); the cells are identical either way, only
+                # slower.  Errors raised *by a worker's simulation*
+                # (SimulationError and friends) propagate — rerunning
+                # serially would only hit them again.  Cells that
+                # already streamed out stay streamed; only the
+                # remainder reruns here.  The pool is already closed
+                # (a broken persistent one is forgotten, so the next
+                # run starts a fresh one).
                 remaining = [p for p in payloads if p[0] not in done]
                 print(
                     f"parallel: process pool unavailable "
@@ -1331,41 +1487,42 @@ class ParallelRunner:
         spec_list: Sequence[ScenarioSpec],
         soc: SoCConfig,
     ) -> Iterator[CellResult]:
-        # 61 is ProcessPoolExecutor's hard ceiling on Windows; capping
-        # everywhere keeps auto-sized runs from crashing there.
-        pool = self._pool
-        if pool is not None:
-            workers = min(self._pool_workers, len(payloads))
-        else:
-            workers = min(self.workers, len(payloads), 61)
+        """Pool half of :meth:`iter_cells`: chunks of cells, two per
+        worker in flight.
+
+        Raises:
+            OSError: No pool could start, or a worker died (the pool
+                is closed first).
+        """
+        pool, owned = self._acquire_pool(len(payloads), spec_list, soc)
         if self.chunk_size is not None:
             chunk = self.chunk_size
         else:
-            chunk = max(1, len(payloads) // (workers * 4))
-        chunks = [
+            chunk = max(1, len(payloads) // (len(pool.workers) * 4))
+        chunks = deque(
             payloads[i:i + chunk]
             for i in range(0, len(payloads), chunk)
-        ]
-        owns_pool = pool is None
-        if owns_pool:
-            pool = self._make_pool(workers, spec_list, soc)
-        pending = set()
+        )
+        broken = False
         try:
-            pending = {pool.submit(_run_cell_chunk, c) for c in chunks}
-            while pending:
-                finished, pending = wait(
-                    pending, return_when=FIRST_COMPLETED
-                )
-                for future in finished:
-                    yield from future.result()
+            while chunks or pool.busy:
+                while chunks:
+                    worker = pool.free_worker()
+                    if worker is None:
+                        break
+                    pool.send(
+                        worker, None, _run_cell_chunk, chunks.popleft()
+                    )
+                replies, dead = pool.wait()
+                for _, _, ok, value in replies:
+                    if not ok:
+                        raise value
+                    yield from value
+                if dead:
+                    broken = True
+                    raise ChildProcessError(_death_message(dead[0]))
         finally:
-            if owns_pool:
-                pool.shutdown(wait=True, cancel_futures=True)
-            else:
-                # A caller abandoning the stream mid-sweep (breaking
-                # out of iter_cells) must not leave a persistent pool
-                # grinding through discarded chunks; cancel whatever
-                # has not started (in-flight chunks still finish).
-                # repro-lint: allow[D103] -- cancellation is order-insensitive; no output depends on iteration order
-                for future in pending:
-                    future.cancel()
+            # A caller abandoning the stream mid-sweep (breaking out of
+            # iter_cells) must not leave a persistent pool grinding
+            # through discarded chunks: its busy workers are replaced.
+            self._release_pool(pool, owned, broken)

@@ -1,7 +1,10 @@
-"""Tests for per-cell sweep supervision (ISSUE tentpole): retry
-determinism, quarantine instead of abort, pool-crash recovery, cell
-timeouts, and the old streaming path's BrokenProcessPool serial
+"""Tests for per-cell sweep supervision: retry determinism,
+quarantine instead of abort, pool-crash recovery charged to the
+crashing cell alone, cell timeouts that replace only the hung worker,
+the pool's lifecycle, and the streaming path's dead-pool serial
 fallback driven by the fault harness."""
+
+import multiprocessing
 
 import pytest
 
@@ -136,8 +139,8 @@ class TestSerialSupervision:
 @pytest.mark.slow
 class TestPoolSupervision:
     def test_worker_crash_recovered_bit_identical(self, serial_matrix):
-        """An injected worker crash (BrokenProcessPool) is retried on
-        a rebuilt pool; the finished sweep is bit-identical."""
+        """An injected worker crash is retried on a replacement
+        worker; the finished sweep is bit-identical."""
         runner, acc = _supervised(
             FaultPlan.parse("crash:cells=2"), workers=2
         )
@@ -160,6 +163,54 @@ class TestPoolSupervision:
         (failure,) = acc.failures()
         assert failure.index == 2
         assert failure.kind == "crash"
+
+    def test_crash_charged_to_the_crashing_cell_only(self):
+        """The parent knows which cell each worker runs: a crash
+        quarantines that cell alone (``max_retries=0``), and the cell
+        running on the other worker at the time completes."""
+        runner, acc = _supervised(
+            FaultPlan.parse("crash:cells=2:attempts=all"),
+            workers=2, max_retries=0,
+        )
+        if runner.last_mode != "parallel":
+            pytest.skip("process pool unavailable")
+        (failure,) = acc.failures()
+        assert failure.index == 2
+        assert failure.kind == "crash"
+        assert failure.attempts == 1
+        assert sorted(c.index for c in acc.cells()) == [
+            i for i in range(CELLS) if i != 2
+        ]
+
+    def test_hung_cell_replaces_only_its_worker(self):
+        """A timeout terminates and replaces the hung worker alone:
+        the healthy worker keeps its process and finishes cells after
+        the deadline, so the sweep sees at most one new pid."""
+        spec = ScenarioSpec(
+            workload_set="A", qos_level=QosLevel.MEDIUM, num_tasks=100,
+            seeds=tuple(range(1, 13)),
+        )
+        events = []
+        runner = ParallelRunner(workers=2)
+        acc = runner.run_supervised(
+            [spec],
+            supervision=Supervision(
+                fault_plan=FaultPlan.parse("hang:cells=1:attempts=all"),
+                max_retries=0, cell_timeout=1.0, **FAST,
+            ),
+            on_cell=lambda cell: events.append(cell.worker_pid),
+            on_failure=lambda failure: events.append(None),
+        )
+        if runner.last_mode != "parallel":
+            pytest.skip("process pool unavailable")
+        (failure,) = acc.failures()
+        assert (failure.index, failure.kind) == (1, "timeout")
+        assert len(acc.cells()) == len(POLICY_ORDER) * 12 - 1
+        assert len(acc.worker_pids()) <= runner.workers + 1
+        cut = events.index(None)
+        before, after = set(events[:cut]), set(events[cut + 1:])
+        assert after, "sweep too short: nothing ran after the deadline"
+        assert before & after  # the healthy worker survived
 
     def test_hung_cell_times_out_and_is_quarantined(self):
         runner, acc = _supervised(
@@ -211,14 +262,79 @@ class TestPoolSupervision:
 
 
 @pytest.mark.slow
+class TestPoolLifecycle:
+    def test_start_pool_needs_no_manager(self, monkeypatch):
+        """The ready handshake replaces the manager-backed barrier:
+        with no manager process available, every worker still comes
+        up warm and distinct."""
+
+        def no_manager(*args, **kwargs):
+            raise OSError("no manager process in this sandbox")
+
+        monkeypatch.setattr(multiprocessing, "Manager", no_manager)
+        runner = ParallelRunner(workers=2)
+        try:
+            pids = runner.start_pool([SPEC])
+            if not pids:
+                pytest.skip("process pool unavailable")
+            assert len(set(pids)) == 2
+            assert runner.last_warmup_timeouts == 0
+        finally:
+            runner.close_pool()
+
+    def test_replaced_and_closed_workers_are_reaped(self):
+        def children():
+            return {p.pid for p in multiprocessing.active_children()}
+
+        others = children()
+        plan = FaultPlan.parse("hang:cells=1:attempts=all")
+        runner = ParallelRunner(workers=2, fault_plan=plan)
+        try:
+            pids = set(runner.start_pool([SPEC]))
+            if not pids:
+                pytest.skip("process pool unavailable")
+            acc = runner.run_supervised(
+                [SPEC],
+                supervision=Supervision(
+                    max_retries=0, cell_timeout=1.0, **FAST
+                ),
+            )
+            (failure,) = acc.failures()
+            assert failure.kind == "timeout"
+            hung = pids - set(acc.worker_pids())
+            live = children() - others
+            assert len(hung) == 1 and not hung & live
+            assert len(live) == 2  # the survivor and the replacement
+        finally:
+            runner.close_pool()
+        assert not (pids | live) & children()
+
+    def test_abandoned_stream_leaves_no_stale_replies(self, serial_matrix):
+        """Closing a stream mid-sweep replaces the persistent pool's
+        busy workers, so the next run gets no reply meant for the
+        abandoned one."""
+        runner = ParallelRunner(workers=2)
+        try:
+            if not runner.start_pool([SPEC]):
+                pytest.skip("process pool unavailable")
+            stream = runner.iter_cells([SPEC])
+            next(stream)
+            stream.close()
+            assert runner.run_matrix([SPEC]) == serial_matrix
+            assert runner.last_mode == "parallel"
+        finally:
+            runner.close_pool()
+
+
+@pytest.mark.slow
 class TestBrokenPoolFallback:
     def test_iter_cells_crash_falls_back_serial_bit_identical(
         self, serial_matrix
     ):
-        """ISSUE satellite: the streaming path's mid-sweep
-        BrokenProcessPool serial fallback, driven deterministically by
-        the fault harness — the pool dies, the remainder reruns
-        in-process, and the aggregate stays bit-identical."""
+        """The streaming path's mid-sweep serial fallback, driven
+        deterministically by the fault harness — a worker dies, the
+        remainder reruns in-process, and the aggregate stays
+        bit-identical."""
         plan = FaultPlan.parse("crash:cells=2:attempts=all")
         runner = ParallelRunner(workers=2, fault_plan=plan)
         cells = list(runner.iter_cells([SPEC]))
