@@ -6,9 +6,11 @@ sweep exporters::
     PYTHONPATH=src python scripts/bless_goldens.py
 
 Rewrites ``tests/goldens/reference_matrix.json`` (metric fingerprints
-of the 36 reference cells) and ``tests/goldens/sweep_exports.json``
-(byte digests of the sweep JSON/CSV export files); review the diff and
-commit it with the change that moved the outputs.
+of the 36 reference cells), ``tests/goldens/sweep_exports.json``
+(byte digests of the sweep JSON/CSV export files) and
+``tests/goldens/engine_counters.json`` (the engine's event, solve and
+plan counters for the same 36 cells); review the diff and commit it
+with the change that moved the outputs.
 
 It refuses, writing nothing and exiting 1, while the paper-shape
 benches (``benchmarks/bench_*.py``: MoCA best in every scenario, the
@@ -78,6 +80,27 @@ def main() -> None:
         f"({time.time() - t0:.1f}s)"
     )
     bless_sweep_exports()
+    bless_engine_counters()
+
+
+def bless_engine_counters() -> None:
+    """Pin the engine's work counters of the reference cells (see
+    tests/test_golden.py::test_engine_counters_match_goldens)."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_golden import (  # noqa: E402
+        ENGINE_COUNTERS_PATH,
+        compute_engine_counters,
+    )
+
+    t0 = time.time()
+    counters = compute_engine_counters()
+    ENGINE_COUNTERS_PATH.write_text(
+        json.dumps(counters, indent=2, sort_keys=True) + "\n"
+    )
+    print(
+        f"blessed engine counters of {len(counters)} cells -> "
+        f"{ENGINE_COUNTERS_PATH} ({time.time() - t0:.1f}s)"
+    )
 
 
 def bless_sweep_exports() -> None:

@@ -41,17 +41,6 @@ echo "== paper-shape benches (MoCA vs Prema / Planaria / static) =="
 # pytest's default collection skips benchmarks/, so run them here.
 python -m pytest -q benchmarks/bench_*.py --benchmark-disable
 
-echo "== engine microbench gate (plan seam vs imperative, bit-identity) =="
-# ISSUE acceptance gate: the declarative plan seam must not run
-# slower than the legacy imperative seam on the engine microbench
-# (best-of-rounds ratio with one re-measure backstop, plus the
-# recorded BENCH_perf.json
-# imperative baseline as a cross-run backstop), and the vectorized
-# solver must stay bit-identical to the scalar oracle across a
-# reference-matrix spot check.  Both are asserted inside
-# bench_perf.py --engine-only, which exits non-zero on violation.
-python scripts/bench_perf.py --engine-only --tasks 120 --seeds 1
-
 echo "== smoke =="
 python scripts/smoke.py A 24 M
 
@@ -77,8 +66,22 @@ python -m repro.cli sweep \
 diff -r "$EXPORT_TMP/streamed" "$EXPORT_TMP/serial"
 echo "exports byte-identical"
 
+echo "== reference loop (sweep --solver reference, byte-exact vs kernel) =="
+# The horizon kernel (the engine default) must write the same bytes
+# as the reference loop it is checked against (repro.sim.reference),
+# on the nine ref-* scenarios x four policies.
+REF_SCENARIOS=ref-a-qos-h,ref-a-qos-m,ref-a-qos-l,ref-b-qos-h,ref-b-qos-m,ref-b-qos-l,ref-c-qos-h,ref-c-qos-m,ref-c-qos-l
+python -m repro.cli sweep \
+    --scenarios "$REF_SCENARIOS" --tasks 16 --seeds 1 --workers 1 \
+    --solver kernel --out "$EXPORT_TMP/ref-kernel" --format json,csv
+python -m repro.cli sweep \
+    --scenarios "$REF_SCENARIOS" --tasks 16 --seeds 1 --workers 1 \
+    --solver reference --out "$EXPORT_TMP/ref-reference" --format json,csv
+diff -r "$EXPORT_TMP/ref-reference" "$EXPORT_TMP/ref-kernel"
+echo "reference loop byte-identical"
+
 echo "== sanitized run (REPRO_CHECK=1, byte-exact vs unchecked) =="
-# The runtime invariant sanitizer (vector-vs-scalar solver spot
+# The runtime invariant sanitizer (kernel-vs-reference solve spot
 # checks, trusted-plan re-validation, ledger state-machine checks)
 # must be a pure observer: the same sweep under REPRO_CHECK=1 must
 # write byte-identical artifacts to the unchecked serial reference.

@@ -22,8 +22,7 @@ from repro.accelerator.isa import Instruction, Opcode, compute_rate_for
 from repro.config import SoCConfig
 from repro.memory.arbiter import allocate_bandwidth
 from repro.models.layers import Layer
-
-_EPS = 1e-9
+from repro.tolerances import MULTITILE_EPS
 
 
 @dataclass
@@ -132,7 +131,7 @@ class MultiTenantPipelineSim:
                 dt = min(dt, state.remaining / rate)
             if dt == float("inf"):
                 raise RuntimeError("co-simulation stalled")
-            dt = max(dt, _EPS)
+            dt = max(dt, MULTITILE_EPS)
 
             # Advance everyone.
             now += dt
@@ -142,7 +141,7 @@ class MultiTenantPipelineSim:
                     continue
                 rate = self._rate(app, state, ins, shares)
                 state.remaining -= rate * dt
-                if state.remaining <= _EPS:
+                if state.remaining <= MULTITILE_EPS:
                     self._retire(state, ins)
                     self._arm(state)
                     if state.current() is None:

@@ -49,6 +49,7 @@ from repro.experiments.fig7_stp import format_fig7
 from repro.experiments.fig8_fairness import format_fig8
 from repro.experiments.table4_area import format_table4
 from repro.experiments.validation import format_validation, run_validation
+from repro.sim.engine import SOLVERS
 
 
 def _parse_seeds(text: str) -> Tuple[int, ...]:
@@ -1201,11 +1202,12 @@ def build_parser() -> argparse.ArgumentParser:
              "(1 = serial, 0 = one per CPU)",
     )
     p_sweep.add_argument(
-        "--solver", choices=("kernel", "vector", "scalar"),
+        "--solver", choices=SOLVERS,
         default=None,
-        help="engine block-time solver for every cell (default: the "
-             "engine's default, the epoch-horizon kernel); all three "
-             "are bit-identical — this is an operational/debugging "
+        help="engine loop for every cell (default: the engine's "
+             "default, the epoch-horizon kernel; 'reference' is the "
+             "plain loop it is checked against); both are "
+             "bit-identical — this is an operational/debugging "
              "knob, never part of the sweep's identity",
     )
     p_sweep.add_argument(

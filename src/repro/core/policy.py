@@ -28,10 +28,11 @@ from repro.core.prediction import RemainingPrediction
 from repro.core.runtime import MoCARuntime
 from repro.core.scheduler import MoCAScheduler, SchedulableTask, SchedulerConfig
 from repro.core.scoreboard import ScoreboardEntry
-from repro.memory.arbiter import _REL_TOL, waterfill_grant_last
+from repro.memory.arbiter import waterfill_grant_last
 from repro.sim.plan import EMPTY_PLAN, AllocationPlan
 from repro.sim.policy import Policy
 from repro.sim.trace import TraceEvent
+from repro.tolerances import ARBITER_REL_TOL, CAP_EQ_TOL
 
 #: Shared empty admitted-tiles overlay for regulation rounds with no
 #: admissions (the kernel seam's steady state); read-only by contract.
@@ -129,13 +130,13 @@ class MoCAPolicy(Policy):
             self._predictor = RemainingPrediction(sim.soc, sim.mem)
             # Regulation-sweep constants (all fixed for the runtime's
             # lifetime; the scoreboard's entry dict is mutated in
-            # place, never replaced).  ``dram_bw * (1 + _REL_TOL)`` is
+            # place, never replaced).  ``dram_bw * (1 + ARBITER_REL_TOL)`` is
             # the early-exit threshold the sweep previously derived
             # per round — the same float by construction.
             self._reg_consts = (
                 rt.scoreboard.entries(),
                 rt._dram_bw,
-                rt._dram_bw * (1 + _REL_TOL),
+                rt._dram_bw * (1 + ARBITER_REL_TOL),
                 rt._overflow_cut,
                 rt.min_bw_rate,
                 rt.urgency_cap,
@@ -450,6 +451,7 @@ class MoCAPolicy(Policy):
             min_bw_rate, urgency_cap, suffix_of,
         ) = self._reg_consts
         now = sim.now
+        cap_tol = CAP_EQ_TOL
         epoch = self._epoch
         # With the fast path on, decide() only reaches this sweep
         # after bumping the co-runner epoch (admissions, boundary
@@ -619,7 +621,7 @@ class MoCAPolicy(Policy):
             old = job.bw_cap
             if old == cap or (
                 old is not None and cap is not None
-                and abs(old - cap) < 1e-9
+                and abs(old - cap) < cap_tol
             ):
                 # Restating the live cap: the engine would no-op it
                 # anyway (same tolerance), so the plan omits the
@@ -629,7 +631,7 @@ class MoCAPolicy(Policy):
             if apply_to is None:
                 caps.append((jid, cap))
                 continue
-            # Fused in-place recap — set_bw_cap(charge=False) plus the
+            # Fused in-place recap — set_bw_cap plus the
             # controller's central stall charge and journal append,
             # with the validation the state proves: the job is RUNNING
             # (planned_running is the live running list here; admission

@@ -30,12 +30,9 @@ from repro.accelerator.dma import bytes_to_requests
 from repro.config import SoCConfig
 from repro.core.latency import BlockCost
 from repro.core.scoreboard import Scoreboard, ScoreboardEntry
-from repro.memory.arbiter import (
-    _REL_TOL,
-    allocate_bandwidth,
-    waterfill_grant_last,
-)
+from repro.memory.arbiter import allocate_bandwidth, waterfill_grant_last
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.tolerances import ARBITER_REL_TOL
 
 
 @dataclass(frozen=True)
@@ -323,7 +320,7 @@ class MoCARuntime:
                 # app last, uncapped wants = demands, scores as
                 # weights with the denormal filter) are built only
                 # when the fill actually runs.
-                if other_bw + demand <= dram_bw * (1 + _REL_TOL):
+                if other_bw + demand <= dram_bw * (1 + ARBITER_REL_TOL):
                     share = demand
                 else:
                     wants = []

@@ -76,8 +76,8 @@ Reading ``BENCH_perf.json``
 ``scripts/bench_perf.py`` times a fixed reference matrix through both
 paths and writes ``BENCH_perf.json``: ``serial.seconds`` vs
 ``parallel.seconds`` (and their ratio, ``speedup``) measure this
-module; ``engine.events_per_sec`` and the ``block_time_*`` counters
-measure the simulator's incremental hot path; ``identical_metrics``
+module; ``engine.kernel.events_per_sec`` and its ``block_time_*``
+counters measure the engine's horizon kernel; ``identical_metrics``
 asserts the two paths agreed bit-for-bit; ``host.start_method`` and
 ``parallel.cache`` record the worker start method and the aggregated
 cache counters the warm-worker path is judged by.  Every future
@@ -124,7 +124,7 @@ from repro.experiments.runner import (
     run_cell_detail,
 )
 from repro.scenarios import ScenarioLike, resolve_scenarios
-from repro.sim.engine import SimResult
+from repro.sim.engine import SOLVERS, SimResult
 
 #: One unit of parallel work: (global cell index, spec index, spec,
 #: policy name, policy factory, seed, SoC, solver).  The global index
@@ -132,9 +132,9 @@ from repro.sim.engine import SimResult
 #: duplicate labels.  The solver override rides at the *end* so the
 #: positional reads of the leading fields (quarantine, sharding)
 #: stay stable; ``None`` means the engine default and is never
-#: serialized into manifests or exports — all three solvers are
-#: bit-identical, so the choice is operational, not part of a cell's
-#: identity.
+#: serialized into manifests or exports — the kernel and the
+#: reference loop are bit-identical, so the choice is operational,
+#: not part of a cell's identity.
 _CellPayload = Tuple[
     int, int, ScenarioSpec, str, PolicyFactory, int, SoCConfig,
     Optional[str],
@@ -763,12 +763,9 @@ class ParallelRunner:
             raise ValueError("workers must be >= 1")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if solver is not None and solver not in (
-            "kernel", "vector", "scalar"
-        ):
+        if solver is not None and solver not in SOLVERS:
             raise ValueError(
-                f"unknown solver {solver!r} "
-                f"(expected 'kernel', 'vector' or 'scalar')"
+                f"unknown solver {solver!r} (expected one of {SOLVERS})"
             )
         self.workers = workers
         self.chunk_size = chunk_size

@@ -166,9 +166,11 @@ def run_cell_detail(
     reuse, plans emitted/applied/no-op) the streaming executor
     threads into each :class:`~repro.experiments.results.CellResult`.
 
-    ``solver`` picks the engine's block-time solver (``None`` = the
-    engine default); all solvers are pinned bit-identical, so this is
-    an operational knob, never part of the cell's identity.
+    ``solver`` picks the engine loop, one of
+    :data:`repro.sim.engine.SOLVERS` (``None`` = the engine default,
+    the kernel); the simulator rejects any other name.  Both loops
+    are pinned bit-identical, so this is an operational knob, never
+    part of the cell's identity.
 
     ``shared`` is the trajectory memo of the sweep this cell belongs
     to.  A policy whose class declares ``reads_sla_targets = False``

@@ -21,11 +21,12 @@ from __future__ import annotations
 import math
 from typing import Dict, Mapping, Optional
 
-_REL_TOL = 1e-12
-#: The freeze-condition tolerance factor, hoisted: ``1 + _REL_TOL``
+from repro.tolerances import ARBITER_REL_TOL
+
+#: The freeze-condition tolerance factor, hoisted: ``1 + ARBITER_REL_TOL``
 #: is a loop-invariant float the water-fill inner loops were
 #: recomputing per requestor per round.
-_REL1 = 1 + _REL_TOL
+_REL1 = 1 + ARBITER_REL_TOL
 
 
 class AllocationError(ValueError):
@@ -37,7 +38,7 @@ def waterfill_grants(wants, weights, total):
 
     The allocation core shared by :func:`allocate_bandwidth` (which
     wraps it in input validation and dict plumbing) and the trusted
-    hot paths — the simulator's vectorized block-time solver and
+    hot paths — the horizon kernel's block-time solve and
     MoCA's batched regulation — which call it directly on
     structure-of-arrays state.  One implementation, so the fast paths
     cannot drift from the validated reference semantics.
@@ -47,7 +48,7 @@ def waterfill_grants(wants, weights, total):
         weights: Per-requestor sharing weight, >= 0 (callers apply the
             denormal ``> 1e-9`` filter where their semantics need it).
         total: Bandwidth to split; the caller has already established
-            ``sum(wants) > total * (1 + _REL_TOL)`` (otherwise every
+            ``sum(wants) > total * (1 + ARBITER_REL_TOL)`` (otherwise every
             requestor just keeps its want and no fill is needed).
 
     Returns:
@@ -257,7 +258,7 @@ def allocate_bandwidth(
     total_wants = 0.0
     for w in wants:
         total_wants += w
-    if total_wants <= total * (1 + _REL_TOL):
+    if total_wants <= total * _REL1:
         return dict(zip(keys, wants))
 
     # Oversubscribed: weighted water-filling. Requestors whose capped

@@ -19,38 +19,37 @@ current resource allocation:
 Events: task dispatch, block completion, stall expiry (migration or
 reconfiguration penalties) and policy-initiated changes.
 
-Incremental recomputation
--------------------------
+One loop, one oracle
+--------------------
 
-``current_block_times()`` (each running job's block latency under the
-current allocation, including the bandwidth-arbiter solve) only depends
-on *allocation state*: the set of unstalled running jobs, their current
-blocks, tile counts and throttle caps.  The engine maintains an
-**allocation epoch** counter that every state mutation bumps
-(``start_job`` / ``set_tiles`` / ``set_bw_cap`` / ``preempt`` /
-``stall_job`` / block retirement / stall expiry); between bumps the
-solve is served from cache instead of being recomputed on every event.
-Per-block unconstrained predictions are additionally memoised on the
-:class:`~repro.core.latency.BlockCost` instances themselves, since
-jobs revisit the same blocks under the same allocations thousands of
-times per run.  Both caches are exact — the epoch cache is invalidated
-on *any* state change, the prediction memo keys on every input of the
-pure function — so the simulation stays bit-identical to the
-always-recompute engine.
+Simulations run on the epoch-horizon kernel
+(:meth:`Simulator._advance_horizon`, ``solver="kernel"``, the
+default).  A job's block time depends only on *allocation state*: the
+set of unstalled running jobs, their current blocks, tile counts and
+throttle caps.  Every mutation of that state bumps an **allocation
+epoch** counter (``start_job`` / ``set_tiles`` / ``set_bw_cap`` /
+``preempt`` / ``stall_job`` / block retirement / stall expiry).
+Between bumps the kernel keeps its solve and advances from boundary
+to boundary without re-solving.
 
-Declarative decisions
----------------------
+``solver="reference"`` runs :func:`repro.sim.reference.run` instead:
+a plain loop that re-solves from scratch on every event.  It is the
+oracle the kernel is pinned against (tests/test_engine_differential.py,
+and the ``REPRO_CHECK=1`` spot check), and
+:meth:`Simulator.current_block_times` returns its solve.
+
+Decisions
+---------
 
 Policies are consulted at decision points gated by a
 :class:`~repro.sim.plan.DecisionCadence` (every event by default;
-block boundaries or a fixed cycle interval when regulated) and return
-:class:`~repro.sim.plan.AllocationPlan`\\ s that the engine's
+block boundaries or a fixed cycle interval when regulated).
+:meth:`~repro.sim.policy.Policy.decide` returns an
+:class:`~repro.sim.plan.AllocationPlan` that the engine's
 :class:`~repro.sim.plan.AllocationController` applies atomically — an
 applied plan bumps the allocation epoch exactly once
 (:meth:`Simulator.atomic_allocation`), a no-op plan not at all, and
 reconfiguration costs are charged centrally by the controller.
-Legacy imperative policies (overriding ``Policy.on_event``) are
-invoked directly at the same decision points.
 """
 
 from __future__ import annotations
@@ -64,8 +63,9 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import repro.sanitizer as sanitizer
 from repro.config import SoCConfig
-from repro.memory.arbiter import _REL_TOL, allocate_bandwidth, waterfill_grants
+from repro.memory.arbiter import waterfill_grants
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.sim import reference
 from repro.sim.job import Job, JobPhase, Task, TaskResult, results_from_jobs
 from repro.sim.plan import (
     EMPTY_PLAN,
@@ -75,9 +75,16 @@ from repro.sim.plan import (
 )
 from repro.sim.policy import Policy
 from repro.sim.trace import Trace, TraceEvent
+from repro.tolerances import (
+    ARBITER_REL_TOL,
+    CAP_EQ_TOL,
+    COMPLETION_EPS,
+    MIN_DT,
+)
 
-_COMPLETION_EPS = 1e-9
-_MIN_DT = 1e-6
+#: The engine loops ``Simulator(solver=...)`` accepts: the horizon
+#: kernel and the reference loop of :mod:`repro.sim.reference`.
+SOLVERS = ("kernel", "reference")
 
 # Ready-queue ordering: FIFO by dispatch time, job id as tie-break.
 # Keys are unique (job ids are), so maintaining the queue with
@@ -116,8 +123,7 @@ class SimResult:
         plans_noop: Plans that performed none (empty or all no-op) —
             these leave the allocation epoch untouched.
         plan_actions: Total mutations applied through the
-            :class:`~repro.sim.plan.AllocationController` (0 for
-            legacy imperative policies, which mutate directly).
+            :class:`~repro.sim.plan.AllocationController`.
 
     A sweep cell may be *served* from a QoS sibling's trajectory
     instead of simulated (see :func:`repro.experiments.runner.
@@ -187,22 +193,17 @@ class Simulator:
         ids = [t.task_id for t in tasks]
         if len(set(ids)) != len(ids):
             raise SimulationError("duplicate task ids")
-        if solver not in ("kernel", "vector", "scalar"):
+        if solver not in SOLVERS:
             raise SimulationError(
-                f"unknown solver {solver!r} "
-                f"(expected 'kernel', 'vector' or 'scalar')"
+                f"unknown solver {solver!r} (expected one of {SOLVERS})"
             )
         self.soc = soc
         self.mem = mem if mem is not None else MemoryHierarchy.from_soc(soc)
-        if (
-            not policy.emits_plans
-            and type(policy).on_event is Policy.on_event
-        ):
+        if type(policy).decide is Policy.decide:
             # Fail at construction, not at the first decision point
-            # mid-simulation (the abc guard this seam replaced).
+            # mid-simulation.
             raise SimulationError(
-                f"policy {policy.name!r} implements neither decide() "
-                f"nor on_event()"
+                f"policy {policy.name!r} does not implement decide()"
             )
         self.policy = policy
         self.now = 0.0
@@ -226,14 +227,13 @@ class Simulator:
         self._tiles_held = 0
         self.trace = Trace(enabled=trace)
         self._max_events = max_events
-        self._block_T: Mapping[str, float] = {}
         # Structure-of-arrays runtime tables (one per task's network,
         # memoised on the NetworkCost so shared networks build once):
         # every (block, tiles) point the run can ever evaluate,
-        # precomputed in one numpy batch.  The vectorized solver and
+        # precomputed in one numpy batch.  The kernel's solve and
         # MoCA's batched regulation read these instead of probing the
         # predict memo per call; the tables are bit-identical to
-        # BlockCost.predict, so either solver yields the same floats.
+        # BlockCost.predict, which the reference solve calls.
         self.solver = solver
         dram_bw = self.mem.dram_bandwidth
         l2_bw = self.mem.l2_bandwidth
@@ -244,24 +244,15 @@ class Simulator:
             for t in tasks
         }
         for job in self.jobs.values():
-            # Direct reference for the vectorized solver: one
-            # attribute read instead of a dict probe per job per
-            # solve.
+            # Direct reference for the kernel's solve: one attribute
+            # read instead of a dict probe per job per solve.
             job._table = self._job_tables[job.job_id]
-        # The kernel's external probe/oracle solve is the vectorized
-        # one: current_block_times() and the sanitizer spot-check stay
-        # correct (and epoch-cached) whichever loop is driving.
-        self._solve = (
-            self._solve_scalar if solver == "scalar" else self._solve_vector
-        )
         # Constants the per-event solve would otherwise re-derive
         # through property chains.
         self._dram_bw = dram_bw
         self._contention_penalty = self.mem.dram.contention_penalty
-        # Incremental-recompute state (see module docstring).
+        # Allocation epoch (see module docstring).
         self._alloc_epoch = 0
-        self._times_epoch = -1
-        self._times_raw: Dict[str, float] = {}
         self._validated_state = (-1, -1)
         self._solve_checks = 0
         self.events = 0
@@ -275,9 +266,6 @@ class Simulator:
         # resolved to a flag so the hot loop skips _should_decide.
         self._cadence_every = self.cadence.mode == "every-event"
         self.controller = AllocationController(self)
-        # Which seam the policy implements, resolved once (the
-        # property does a type lookup; this runs every event).
-        self._policy_emits_plans = policy.emits_plans
         self.decisions = 0
         self._boundaries = 0          # blocks retired so far
         self._decided_boundaries = -1  # _boundaries at the last decision
@@ -321,19 +309,16 @@ class Simulator:
         self.trace.log(self.now, TraceEvent.START, job.job_id,
                        f"tiles={tiles}")
 
-    def set_tiles(self, job: Job, tiles: int, charge: bool = True) -> bool:
+    def set_tiles(self, job: Job, tiles: int) -> bool:
         """Repartition a running job's tiles.
 
-        ``charge=True`` (the legacy imperative seam) charges the
-        compute-migration stall here; the
-        :class:`~repro.sim.plan.AllocationController` passes
-        ``charge=False`` and accounts the cost centrally (with
-        same-instant dedupe).
+        Charges nothing: the :class:`~repro.sim.plan.
+        AllocationController` charges the compute-migration stall
+        centrally (with same-instant dedupe).
 
         Returns:
-            Whether the tile count actually changed — this is the
-            single source of no-op detection, shared by the
-            imperative seam and the controller's diffing.
+            Whether the tile count actually changed — the single
+            source of no-op detection for the controller's diffing.
         """
         if job.phase is not JobPhase.RUNNING:
             raise SimulationError(f"{job.job_id} is not running")
@@ -351,21 +336,16 @@ class Simulator:
         job.tiles = tiles
         job.tile_repartitions += 1
         self._bump_epoch()
-        if charge:
-            self.stall_job(job, self.policy.compute_reconfig_cycles)
         self.trace.log(self.now, TraceEvent.TILE_REPARTITION, job.job_id,
                        f"tiles={tiles}")
         return True
 
-    def set_bw_cap(
-        self, job: Job, cap: Optional[float], charge: bool = True
-    ) -> bool:
+    def set_bw_cap(self, job: Job, cap: Optional[float]) -> bool:
         """Reconfigure a job's memory throttle.
 
-        ``charge=True`` (the legacy imperative seam) charges the 5-10
-        cycle DMA issue-rate update here; the
-        :class:`~repro.sim.plan.AllocationController` passes
-        ``charge=False`` and accounts the cost centrally.
+        Charges nothing: the :class:`~repro.sim.plan.
+        AllocationController` charges the 5-10 cycle DMA issue-rate
+        update centrally.
 
         Returns:
             Whether the cap actually changed (same-value and
@@ -378,14 +358,12 @@ class Simulator:
         old = job.bw_cap
         if old == cap or (
             old is not None and cap is not None
-            and abs(old - cap) < 1e-9
+            and abs(old - cap) < CAP_EQ_TOL
         ):
             return False
         job.bw_cap = cap
         job.bw_reconfigs += 1
         self._bump_epoch()
-        if charge:
-            self.stall_job(job, self.policy.memory_reconfig_cycles)
         if self.trace.enabled:
             self.trace.log(
                 self.now, TraceEvent.BW_RECONFIG, job.job_id,
@@ -486,7 +464,7 @@ class Simulator:
             if self.solver == "kernel":
                 self._advance_horizon()
             else:
-                self._run_incremental()
+                reference.run(self)
         makespan = max((j.finished_at or 0.0) for j in self.finished)
         return SimResult(
             policy_name=self.policy.name,
@@ -503,43 +481,6 @@ class Simulator:
             **cache_delta,
         )
 
-    def _run_incremental(self) -> None:
-        """The single-step reference loop: one solve, one advance, one
-        retirement pass per event, each through the documented
-        primitives.  Kept verbatim as the oracle the horizon kernel is
-        pinned against (property tests + the ``REPRO_CHECK=1`` spot
-        check)."""
-        while len(self.finished) < len(self.jobs):
-            self.events += 1
-            if self.events > self._max_events:
-                raise SimulationError(
-                    f"exceeded {self._max_events} events; "
-                    f"{len(self.finished)}/{len(self.jobs)} tasks done "
-                    f"at cycle {self.now:,.0f}"
-                )
-            pending = self._pending
-            if pending and (
-                pending[0][0] <= self.now + _COMPLETION_EPS
-            ):
-                self._dispatch_arrivals()
-            if self._cadence_every or self._should_decide():
-                self._consult_policy()
-            if (
-                self._tiles_held, len(self.running)
-            ) != self._validated_state:
-                self._validate()
-            if not self._step():
-                if self._pending:
-                    # Idle gap: jump to the next arrival.
-                    self.now = self._pending[0][0]
-                    continue
-                raise SimulationError(
-                    f"deadlock at cycle {self.now:,.0f}: "
-                    f"{len(self.ready)} ready, "
-                    f"{len(self.running)} running, "
-                    f"policy {self.policy.name!r} made no progress"
-                )
-
     def _advance_horizon(self) -> None:
         """The epoch-horizon kernel loop (``solver="kernel"``, the
         default).
@@ -552,8 +493,8 @@ class Simulator:
         earliest of next arrival, stall expiry, and block completion
         under the current allocation — advances straight to it, and
         retires every block that lands there in one fused sweep.
-        Decision points are gated exactly like the reference loop,
-        with two extra fusions:
+        Decision points are gated exactly like the reference loop
+        (:func:`repro.sim.reference.run`), with two extra fusions:
 
         - a policy implementing ``kernel_noop_guard`` lets provably
           empty decision rounds skip the ``decide()`` call outright
@@ -565,39 +506,39 @@ class Simulator:
           round-tripping a plan object.
 
         Every float operation replicates the reference loop's
-        sequence exactly — the solve is :meth:`_solve_vector`
-        specialised to slot state, the dt scan, progress accrual and
-        retirement order are verbatim — so results and makespans are
-        bit-identical to the incremental loop (property-pinned in
-        tests/test_kernel.py; goldens unchanged).  Under
+        sequence exactly — the solve reads the runtime tables that
+        are bit-identical to ``BlockCost.predict`` and runs the
+        arbiter's water-fill core; the dt scan, progress accrual and
+        retirement order are the reference's — so results and
+        makespans are bit-identical to it (pinned in
+        tests/test_engine_differential.py; goldens unchanged).  Under
         ``REPRO_CHECK=1`` the fused apply is disabled (every plan
         passes the sanitizer's trusted re-validation) and the fused
-        solve is spot-checked against the incremental oracle on the
-        first epoch and every 64th.
+        solve is spot-checked against
+        :func:`repro.sim.reference.solve_block_times` on the first
+        epoch and every 64th.
         """
         policy = self.policy
-        emits = self._policy_emits_plans
         san_on = sanitizer.enabled
         guard = policy.kernel_noop_guard
         fused = None if san_on else policy.kernel_decide_apply
         cadence_every = self._cadence_every
         controller = self.controller
         apply_plan = controller.apply
-        decide = policy.decide if emits else None
-        on_event = None if emits else policy.on_event
+        decide = policy.decide
         jobs_total = len(self.jobs)
         finished = self.finished
         running = self.running
         pending = self._pending
         max_events = self._max_events
         trace = self.trace
-        eps = _COMPLETION_EPS
+        eps = COMPLETION_EPS
         done_thr = 1.0 - eps
-        min_dt = _MIN_DT
+        min_dt = MIN_DT
         inf = float("inf")
         dram_bw = self._dram_bw
         penalty = self._contention_penalty
-        rel1 = 1 + _REL_TOL
+        rel1 = 1 + ARBITER_REL_TOL
         events = self.events
         recomputes = self.block_time_recomputes
         reuses = self.block_time_reuses
@@ -634,21 +575,18 @@ class Simulator:
                     if not cadence_every:
                         self._decided_boundaries = self._boundaries
                         self._last_decision_at = now
-                    if emits:
-                        if guard is not None and guard(self):
-                            # Provably-empty round: same bookkeeping,
-                            # no decide() call.
-                            noops += 1
-                        elif fused is not None:
-                            fused(self)
-                        else:
-                            plan = decide(self)
-                            if plan is EMPTY_PLAN:
-                                noops += 1
-                            else:
-                                apply_plan(plan)
+                    if guard is not None and guard(self):
+                        # Provably-empty round: same bookkeeping, no
+                        # decide() call.
+                        noops += 1
+                    elif fused is not None:
+                        fused(self)
                     else:
-                        on_event(self)
+                        plan = decide(self)
+                        if plan is EMPTY_PLAN:
+                            noops += 1
+                        else:
+                            apply_plan(plan)
                 vstate = self._validated_state
                 if (
                     vstate[0] != self._tiles_held
@@ -656,8 +594,8 @@ class Simulator:
                 ):
                     self._validate()
                 # ---- fused solve + next-boundary scan --------------
-                # _solve_vector + _step's dt scan specialised to slot
-                # state: same passes, same float sequence.
+                # The reference solve and dt scan specialised to slot
+                # state: same float sequence.
                 best = inf
                 if next_arrival != inf:
                     c = next_arrival - now
@@ -763,14 +701,7 @@ class Simulator:
                     if san_on:
                         checks += 1
                         if checks == 1 or checks % 64 == 0:
-                            # The full agreement chain at the sample
-                            # point: vector vs scalar (the incremental
-                            # path's own spot-check), then the fused
-                            # kernel solve vs the vector oracle.
-                            oracle = self._solve()
-                            sanitizer.check_solver_agreement(
-                                oracle, self._solve_scalar(), now
-                            )
+                            oracle = reference.solve_block_times(self)
                             kernel_times = {
                                 j.job_id: j._kT
                                 for j in running
@@ -832,7 +763,7 @@ class Simulator:
                 if completed:
                     # Every block that landed on this horizon retires
                     # in one sweep, in running order (the reference
-                    # _retire_completed order).
+                    # loop's retirement order).
                     trace_on = trace.enabled
                     for job in completed:
                         job.block_idx += 1
@@ -886,23 +817,6 @@ class Simulator:
             or self.now - self._last_decision_at >= self.cadence.interval
         )
 
-    def _consult_policy(self) -> None:
-        """One decision point: collect the policy's plan and apply it
-        (or invoke a legacy imperative policy directly)."""
-        self.decisions += 1
-        self._decided_boundaries = self._boundaries
-        self._last_decision_at = self.now
-        if self._policy_emits_plans:
-            plan = self.policy.decide(self)
-            if plan is EMPTY_PLAN:
-                # The dominant outcome on the hot path; counting it
-                # here skips the controller dispatch entirely.
-                self.controller.plans_noop += 1
-            else:
-                self.controller.apply(plan)
-        else:
-            self.policy.on_event(self)
-
     def _dispatch_arrivals(self) -> None:
         """Move pending tasks whose dispatch time has come to READY.
 
@@ -912,7 +826,7 @@ class Simulator:
         regression).
         """
         while self._pending and (
-            self._pending[0][0] <= self.now + _COMPLETION_EPS
+            self._pending[0][0] <= self.now + COMPLETION_EPS
         ):
             _, _, job = heapq.heappop(self._pending)
             job.phase = JobPhase.READY
@@ -927,345 +841,12 @@ class Simulator:
         """Per running job: cycles its current block needs under the
         current allocation (the fluid rate law).
 
-        Served from cache while the allocation epoch is unchanged; the
-        returned mapping is a read-only view (mutating it would
-        corrupt the cache, so it is a :class:`types.MappingProxyType`).
-
-        The solve itself runs through the solver selected at
-        construction: ``"vector"`` (default) reads the precomputed
-        structure-of-arrays runtime tables and inlines the arbiter
-        core; ``"scalar"`` is the original per-job loop, kept as the
-        reference oracle.  Both produce bit-identical mappings
-        (property-tested in tests/test_vectorized.py).
+        Solved from scratch by
+        :func:`repro.sim.reference.solve_block_times` on every call
+        (the kernel's own solve is bit-identical to it); the mapping
+        is a read-only view.
         """
-        return MappingProxyType(self._times_now())
-
-    def _times_now(self) -> Dict[str, float]:
-        """Cache probe returning the *raw* block-time dict.
-
-        Internal hot-path counterpart of :meth:`current_block_times`
-        (same cache, same telemetry counters) that skips the
-        read-only proxy wrapper — the engine trusts itself not to
-        mutate the mapping.
-        """
-        if self._times_epoch == self._alloc_epoch:
-            self.block_time_reuses += 1
-        else:
-            self.block_time_recomputes += 1
-            self._times_raw = self._solve()
-            self._times_epoch = self._alloc_epoch
-            if sanitizer.enabled and self.solver != "scalar":
-                # Spot-check the vectorized solve against the scalar
-                # oracle: the first recompute plus every 64th (the
-                # bit-identical contract, sampled so sanitized runs
-                # stay usable on full sweeps).
-                self._solve_checks += 1
-                if self._solve_checks == 1 or (
-                    self._solve_checks % 64 == 0
-                ):
-                    sanitizer.check_solver_agreement(
-                        self._times_raw, self._solve_scalar(), self.now
-                    )
-        return self._times_raw
-
-    def _solve_scalar(self) -> Dict[str, float]:
-        """Reference block-time solve: per-job ``predict`` calls plus
-        the validated dict-based arbiter."""
-        dram_bw = self.mem.dram_bandwidth
-        l2_bw = self.mem.l2_bandwidth
-        overlap_f = self.soc.overlap_f
-        active = [
-            j for j in self.running if not j.is_stalled(self.now)
-        ]
-        demands: Dict[str, float] = {}
-        t_full: Dict[str, float] = {}
-        for job in active:
-            cost = job.current_block
-            # predict() is memoised on the BlockCost itself, so this
-            # is a dict lookup for revisited (tiles, bandwidth) points.
-            full = cost.predict(job.tiles, dram_bw, l2_bw, overlap_f)
-            t_full[job.job_id] = full
-            demands[job.job_id] = (
-                cost.from_dram_bytes / full if full > 0 else 0.0
-            )
-        caps = {
-            j.job_id: j.bw_cap
-            for j in active
-            if j.bw_cap is not None
-        }
-        # Achieved total bandwidth degrades when the co-runners'
-        # regulated demand oversubscribes the channel (row-buffer
-        # thrash under interleaving); throttled systems that keep the
-        # total under the peak retain single-stream efficiency.
-        shares: Dict[str, float] = {}
-        if demands:
-            wants = {
-                jid: min(d, caps.get(jid, float("inf")))
-                for jid, d in demands.items()
-            }
-            total_wants = sum(wants.values())
-            streams = sum(1 for w in wants.values() if w > 0)
-            effective = self.mem.dram.effective_bandwidth(
-                streams, oversubscribed=total_wants > dram_bw
-            )
-            shares = allocate_bandwidth(demands, effective, caps)
-        times: Dict[str, float] = {}
-        for job in active:
-            jid = job.job_id
-            from_dram = job.current_block.from_dram_bytes
-            share = shares.get(jid, 0.0)
-            if from_dram <= 0:
-                times[jid] = t_full[jid]
-            elif share <= 0:
-                times[jid] = float("inf")
-            else:
-                times[jid] = max(t_full[jid], from_dram / share)
-        return times
-
-    def _solve_vector(self) -> Dict[str, float]:
-        """Hot-path block-time solve over structure-of-arrays state.
-
-        One pass over the running jobs gathers parallel lists
-        (t_full, demand, from_dram, capped want) straight from the
-        precomputed runtime tables — no ``predict`` calls, no memo
-        probes, no intermediate dicts — then feeds the shared
-        :func:`~repro.memory.arbiter.waterfill_grants` core directly.
-        Every float operation replicates the scalar path's order
-        exactly (sequential want-sum, raw-demand weights, freeze-order
-        conservation clamp), so the result is bit-identical to
-        :meth:`_solve_scalar`.
-        """
-        now = self.now
-        running = self.running
-        total_wants = 0.0
-        streams = 0
-        n = 0
-        # Pass 1: total capped demand and stream count (the
-        # oversubscription decision needs the whole picture first).
-        for job in running:
-            if now < job.stall_until:
-                continue
-            table = job._table
-            d = table.demand_rows[job.block_idx][job.tiles - 1]
-            cap = job.bw_cap
-            w = d if cap is None else min(d, cap)
-            total_wants += w
-            if w > 0:
-                streams += 1
-            n += 1
-        times: Dict[str, float] = {}
-        if not n:
-            return times
-        # DramModel.effective_bandwidth inlined on cached constants
-        # (same float expression, same result).
-        effective = self._dram_bw
-        if total_wants > effective and streams > 1:
-            effective *= (
-                1.0 - self._contention_penalty * (1.0 - 1.0 / streams)
-            )
-        if total_wants <= effective * (1 + _REL_TOL):
-            # Undersubscribed (the common case once regulation has
-            # converged): every job keeps its capped want — emit the
-            # times directly, no parallel lists, no waterfill.
-            for job in running:
-                if now < job.stall_until:
-                    continue
-                table = job._table
-                bi = job.block_idx
-                col = job.tiles - 1
-                fd = table.from_dram[bi]
-                tf = table.t_full_rows[bi][col]
-                if fd <= 0:
-                    times[job.job_id] = tf
-                else:
-                    d = table.demand_rows[bi][col]
-                    cap = job.bw_cap
-                    share = d if cap is None else min(d, cap)
-                    if share <= 0:
-                        times[job.job_id] = float("inf")
-                    else:
-                        times[job.job_id] = max(tf, fd / share)
-            return times
-        # Oversubscribed: gather parallel lists and run the shared
-        # water-fill core.
-        jids: List[str] = []
-        t_full: List[float] = []
-        demands: List[float] = []
-        from_dram: List[float] = []
-        wants: List[float] = []
-        for job in running:
-            if now < job.stall_until:
-                continue
-            table = job._table
-            bi = job.block_idx
-            col = job.tiles - 1
-            d = table.demand_rows[bi][col]
-            cap = job.bw_cap
-            jids.append(job.job_id)
-            t_full.append(table.t_full_rows[bi][col])
-            demands.append(d)
-            from_dram.append(table.from_dram[bi])
-            wants.append(d if cap is None else min(d, cap))
-        shares, _ = waterfill_grants(wants, demands, effective)
-        for i, jid in enumerate(jids):
-            fd = from_dram[i]
-            share = shares[i]
-            if fd <= 0:
-                times[jid] = t_full[i]
-            elif share <= 0:
-                times[jid] = float("inf")
-            else:
-                times[jid] = max(t_full[i], fd / share)
-        return times
-
-    def _next_event_dt(self) -> Optional[float]:
-        """Time to the next event, or None if nothing can happen."""
-        self._block_T = times = self._times_now()
-        now = self.now
-        inf = float("inf")
-        best = inf
-        have = False
-        if self._pending:
-            c = self._pending[0][0] - now
-            if c >= 0:
-                best = c
-                have = True
-        for job in self.running:
-            if now < job.stall_until:
-                c = job.stall_until - now
-            else:
-                T = times[job.job_id]
-                if T == inf:
-                    continue
-                c = (1.0 - job.progress) * T
-            if 0 <= c < best:
-                best = c
-                have = True
-        if not have:
-            return None
-        return best
-
-    def _step(self) -> bool:
-        """One fused time step: next-event dt, time advance, progress
-        accrual and completion retirement in a single pass over the
-        running set — the exact composition of
-        :meth:`_next_event_dt`, :meth:`_advance` (with the
-        ``_MIN_DT`` clamp) and :meth:`_process_completions`, which
-        stay as the documented reference primitives.
-
-        Returns:
-            False when no event can occur (the caller resolves idle
-            gaps or declares deadlock).
-        """
-        times = self._times_now()
-        now = self.now
-        inf = float("inf")
-        best = inf
-        have = False
-        pending = self._pending
-        if pending:
-            c = pending[0][0] - now
-            if c >= 0:
-                best = c
-                have = True
-        running = self.running
-        for job in running:
-            if now < job.stall_until:
-                c = job.stall_until - now
-            else:
-                T = times[job.job_id]
-                if T == inf:
-                    continue
-                c = (1.0 - job.progress) * T
-            if 0 <= c < best:
-                best = c
-                have = True
-        if not have:
-            return False
-        self._block_T = times
-        dt = best if best >= _MIN_DT else _MIN_DT
-        new_now = now + dt
-        stall_expired = False
-        completed = False
-        done = 1.0 - _COMPLETION_EPS
-        for job in running:
-            su = job.stall_until
-            if now < su:
-                # A stall expiring re-activates the job: the
-                # arbiter's active set changed even though no
-                # allocation call ran.
-                if su <= new_now:
-                    stall_expired = True
-                continue
-            T = times[job.job_id]
-            if T == inf or T <= 0:
-                continue
-            p = job.progress + dt / T
-            if p > 1.0:
-                p = 1.0
-            job.progress = p
-            if p >= done:
-                completed = True
-        self.now = new_now
-        if stall_expired:
-            self._bump_epoch()
-        if completed:
-            self._retire_completed()
-        return True
-
-    def _advance(self, dt: float) -> None:
-        """Advance time; accrue progress on unstalled running jobs."""
-        inf = float("inf")
-        old_now = self.now
-        block_T = self._block_T
-        for job in self.running:
-            if old_now < job.stall_until:
-                continue
-            T = block_T.get(job.job_id, inf)
-            if T == inf or T <= 0:
-                continue
-            job.progress = min(1.0, job.progress + dt / T)
-        self.now += dt
-        for job in self.running:
-            # A stall expiring re-activates the job: the arbiter's
-            # active set changed even though no allocation call ran.
-            if old_now < job.stall_until <= self.now:
-                self._bump_epoch()
-                break
-
-    def _process_completions(self) -> None:
-        """Retire completed blocks and finish jobs on their last block."""
-        done = 1.0 - _COMPLETION_EPS
-        for job in self.running:
-            if job.progress >= done:
-                self._retire_completed()
-                return
-
-    def _retire_completed(self) -> None:
-        """Retire every running job whose block progress crossed the
-        completion threshold (the caller established at least one
-        did)."""
-        done = 1.0 - _COMPLETION_EPS
-        for job in list(self.running):
-            if job.progress < done:
-                continue
-            job.block_idx += 1
-            job.progress = 0.0
-            self._bump_epoch()
-            self._boundaries += 1
-            if self.trace.enabled:
-                self.trace.log(self.now, TraceEvent.BLOCK_DONE, job.job_id,
-                               f"block={job.block_idx - 1}")
-            if job.block_idx >= job.num_blocks:
-                job.phase = JobPhase.FINISHED
-                job.finished_at = self.now
-                self._tiles_held -= job.tiles
-                job.tiles = 0
-                job.bw_cap = None
-                self.running.remove(job)
-                self.finished.append(job)
-                self.trace.log(self.now, TraceEvent.FINISH, job.job_id)
-                self.policy.on_job_finished(self, job)
+        return MappingProxyType(reference.solve_block_times(self))
 
     def _validate(self) -> None:
         """Invariant checks after every policy invocation.

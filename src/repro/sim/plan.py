@@ -508,7 +508,7 @@ class AllocationController:
                     already_paid = self._already_paid
                     for jid, cap in plan.bw_caps:
                         job = sim_jobs[jid]
-                        if set_cap(job, cap, charge=False):
+                        if set_cap(job, cap):
                             if not already_paid((jid, "bw_cap"), cap):
                                 stall(job, mem_stall)
                             applied += 1
@@ -520,7 +520,7 @@ class AllocationController:
                     append = pending.append
                     for item in plan.bw_caps:
                         job = sim_jobs[item[0]]
-                        if set_cap(job, item[1], charge=False):
+                        if set_cap(job, item[1]):
                             stall(job, mem_stall)
                             append(item)
                             applied += 1
@@ -649,7 +649,7 @@ class AllocationController:
         at this instant.  The engine primitive is the single source
         of no-op detection (it returns whether it mutated)."""
         sim = self.sim
-        if not sim.set_tiles(job, tiles, charge=False):
+        if not sim.set_tiles(job, tiles):
             return 0
         if not self._already_paid((job.job_id, "tiles"), tiles):
             sim.stall_job(job, self._compute_stall)
@@ -659,7 +659,7 @@ class AllocationController:
         """Apply one bandwidth-cap target; charge the DMA issue-rate
         update centrally, with the same same-instant dedupe."""
         sim = self.sim
-        if not sim.set_bw_cap(job, cap, charge=False):
+        if not sim.set_bw_cap(job, cap):
             return 0
         if not self._already_paid((job.job_id, "bw_cap"), cap):
             sim.stall_job(job, self._memory_stall)

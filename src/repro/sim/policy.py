@@ -10,14 +10,10 @@ engine calls :meth:`Policy.decide`, which inspects engine state
 bandwidth caps, preemptions.  The engine-side
 :class:`~repro.sim.plan.AllocationController` diffs the plan against
 live state, applies it atomically, and charges the reconfiguration
-costs centrally.
-
-Legacy imperative policies (overriding :meth:`Policy.on_event` and
-issuing ``sim.start_job`` / ``sim.set_tiles`` / ... directly) keep
-working: the engine falls back to ``on_event`` when ``decide`` is not
-overridden, and the default ``on_event`` bridges the other way for
-plan-emitting policies, so ``policy.on_event(sim)`` remains a valid
-way to drive either kind in tests.
+costs centrally.  ``decide`` is the only seam: a policy never calls
+``sim.start_job`` / ``sim.set_tiles`` / ... itself.  Tests drive one
+decision point by hand with
+``sim.controller.apply(policy.decide(sim))``.
 
 Reconfiguration costs (Section V-A):
 
@@ -49,8 +45,8 @@ MEMORY_RECONFIG_CYCLES = 8
 class Policy(abc.ABC):
     """Base class for multi-tenancy policies.
 
-    Subclasses implement :meth:`decide` (preferred, declarative) or
-    :meth:`on_event` (legacy, imperative) — at least one of the two.
+    Subclasses implement :meth:`decide`; the simulator refuses a
+    policy that does not.
 
     Attributes:
         name: Human-readable policy name (used in reports).
@@ -98,28 +94,8 @@ class Policy(abc.ABC):
         changes".
         """
         raise NotImplementedError(
-            f"{type(self).__name__} implements neither decide() nor "
-            f"on_event(); policies must provide one of the two"
+            f"{type(self).__name__} does not implement decide()"
         )
-
-    @property
-    def emits_plans(self) -> bool:
-        """Whether this policy implements the declarative seam."""
-        return type(self).decide is not Policy.decide
-
-    def on_event(self, sim: "Simulator") -> None:
-        """Legacy imperative seam: react to a simulation event.
-
-        Imperative policies override this and mutate the engine
-        directly (each mutation then charges its own cost and bumps
-        the allocation epoch, as before the declarative refactor).
-        The default implementation bridges plan-emitting policies:
-        it applies :meth:`decide`'s plan through the simulator's
-        controller, so driving either kind of policy via
-        ``policy.on_event(sim)`` is equivalent to one engine
-        decision point.
-        """
-        sim.controller.apply(self.decide(sim))
 
     def on_job_finished(self, sim: "Simulator", job: "Job") -> None:
         """Hook invoked right after a job completes."""

@@ -210,9 +210,9 @@ class TestCadenceCli:
         assert explicit_out == default_out
 
 class TestSolverCli:
-    """ISSUE satellite: ``sweep --solver {kernel,vector,scalar}`` is a
-    debug flag threaded to the engine — documented, validated, and
-    operational-only (outputs identical whichever solver runs)."""
+    """``sweep --solver {kernel,reference}`` is a debug flag threaded
+    to the engine — documented, validated, and operational-only
+    (outputs identical whichever loop runs)."""
 
     def test_solver_documented_in_help(self, capsys):
         with pytest.raises(SystemExit):
@@ -223,29 +223,31 @@ class TestSolverCli:
         assert "--precompute" in helptext
 
     def test_unknown_solver_exits_cleanly(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--scenarios", "ref-a-qos-m",
-                  "--solver", "turbo"])
-        assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        # The retired loops' names are as unknown as any other.
+        for solver in ("turbo", "vector", "scalar"):
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--scenarios", "ref-a-qos-m",
+                      "--solver", solver])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_solver_threaded_to_runner(self):
         parser = build_parser()
         args = parser.parse_args(
             ["sweep", "--scenarios", "ref-a-qos-m",
-             "--solver", "scalar"]
+             "--solver", "reference"]
         )
         from repro.cli import _sweep_runner
 
         runner = _sweep_runner(args)
-        assert runner.solver == "scalar"
+        assert runner.solver == "reference"
         # Default: no override, engine picks its own (kernel).
         default_args = parser.parse_args(
             ["sweep", "--scenarios", "ref-a-qos-m"]
         )
         assert _sweep_runner(default_args).solver is None
 
-    @pytest.mark.parametrize("solver", ["kernel", "vector", "scalar"])
+    @pytest.mark.parametrize("solver", ["kernel", "reference"])
     def test_solver_output_identical_to_default(self, solver, capsys):
         base = ["sweep", "--scenarios", "ref-a-qos-m", "--tasks", "6",
                 "--seeds", "1"]

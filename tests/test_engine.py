@@ -3,11 +3,25 @@
 import pytest
 
 from repro.baselines.static_partition import StaticPartitionPolicy
-from repro.sim.engine import SimulationError, Simulator, run_simulation
+from repro.sim.engine import (
+    SOLVERS,
+    SimulationError,
+    Simulator,
+    run_simulation,
+)
 from repro.sim.job import JobPhase
-from repro.sim.plan import EMPTY_PLAN
+from repro.sim.plan import EMPTY_PLAN, AllocationPlan
 from repro.sim.policy import Policy
 from repro.sim.trace import TraceEvent
+
+
+def _admit(jobs, tiles):
+    """A plan admitting ``jobs`` on ``tiles`` tiles each."""
+    if not jobs:
+        return EMPTY_PLAN
+    return AllocationPlan(
+        admissions=tuple((job.job_id, tiles) for job in jobs)
+    )
 
 
 class _AllTilesPolicy(Policy):
@@ -15,9 +29,10 @@ class _AllTilesPolicy(Policy):
 
     name = "all-tiles"
 
-    def on_event(self, sim):
+    def decide(self, sim):
         if sim.ready and not sim.running:
-            sim.start_job(sim.ready[0], sim.soc.num_tiles)
+            return _admit(sim.ready[:1], sim.soc.num_tiles)
+        return EMPTY_PLAN
 
     def reset(self):
         pass
@@ -28,9 +43,8 @@ class _GreedyPairPolicy(Policy):
 
     name = "greedy"
 
-    def on_event(self, sim):
-        while sim.ready and sim.free_tiles >= 2:
-            sim.start_job(sim.ready[0], 2)
+    def decide(self, sim):
+        return _admit(sim.ready[:sim.free_tiles // 2], 2)
 
     def reset(self):
         pass
@@ -137,34 +151,54 @@ class TestEngineApi:
         return Simulator(soc, tasks, policy, mem=mem)
 
     def test_no_tasks_raises(self, soc, mem):
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="no tasks to simulate"):
             Simulator(soc, [], _GreedyPairPolicy(), mem=mem)
 
     def test_duplicate_ids_raise(self, soc, mem, task_factory):
         tasks = [task_factory(task_id="x"), task_factory(task_id="x")]
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="duplicate task ids"):
             Simulator(soc, tasks, _GreedyPairPolicy(), mem=mem)
+
+    @pytest.mark.parametrize("solver", ["vector", "scalar", "turbo"])
+    def test_unknown_solver_raises(self, soc, mem, task_factory, solver):
+        with pytest.raises(
+            SimulationError,
+            match=rf"unknown solver '{solver}' \(expected one of "
+                  r"\('kernel', 'reference'\)\)",
+        ):
+            Simulator(soc, [task_factory()], _GreedyPairPolicy(),
+                      mem=mem, solver=solver)
 
     def test_start_requires_ready(self, soc, mem, task_factory):
         sim = self._sim(soc, mem, task_factory)
         job = next(iter(sim.jobs.values()))
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="t0 is not ready"):
             sim.start_job(job, 2)  # still PENDING
 
     def test_overallocation_raises(self, soc, mem, task_factory):
         sim = self._sim(soc, mem, task_factory)
         sim._dispatch_arrivals()
         job = sim.ready[0]
-        with pytest.raises(SimulationError):
+        with pytest.raises(
+            SimulationError,
+            match=rf"cannot grant {soc.num_tiles + 1} tiles "
+                  rf"\({soc.num_tiles} free\)",
+        ):
             sim.start_job(job, soc.num_tiles + 1)
+        with pytest.raises(SimulationError, match="cannot grant 0 tiles"):
+            sim.start_job(job, 0)
 
     def test_set_tiles_charges_stall(self, soc, mem, task_factory):
         sim = self._sim(soc, mem, task_factory)
         sim._dispatch_arrivals()
         job = sim.ready[0]
         sim.start_job(job, 2)
-        sim.set_tiles(job, 4)
-        assert job.tile_repartitions == 1
+        # The primitive only moves tiles; the controller charges the
+        # migration stall.
+        assert sim.set_tiles(job, 3)
+        assert job.stall_until == 0.0
+        sim.controller.apply(AllocationPlan(tiles=((job.job_id, 4),)))
+        assert job.tile_repartitions == 2
         assert job.stall_until == pytest.approx(
             sim.now + sim.policy.compute_reconfig_cycles
         )
@@ -182,7 +216,7 @@ class TestEngineApi:
         sim._dispatch_arrivals()
         job = sim.ready[0]
         sim.start_job(job, 2)
-        sim.set_bw_cap(job, 4.0)
+        sim.controller.apply(AllocationPlan(bw_caps=((job.job_id, 4.0),)))
         assert job.bw_reconfigs == 1
         assert job.stall_until == pytest.approx(
             sim.now + sim.policy.memory_reconfig_cycles
@@ -202,8 +236,49 @@ class TestEngineApi:
         sim._dispatch_arrivals()
         job = sim.ready[0]
         sim.start_job(job, 2)
-        with pytest.raises(SimulationError):
+        with pytest.raises(
+            SimulationError, match="bandwidth cap must be positive"
+        ):
             sim.set_bw_cap(job, 0.0)
+
+    def test_primitives_require_a_running_job(
+        self, soc, mem, task_factory
+    ):
+        sim = self._sim(soc, mem, task_factory)
+        sim._dispatch_arrivals()
+        job = sim.ready[0]  # READY, not running
+        for call in (
+            lambda: sim.set_tiles(job, 2),
+            lambda: sim.set_bw_cap(job, 4.0),
+            lambda: sim.preempt(job),
+        ):
+            with pytest.raises(SimulationError, match="t0 is not running"):
+                call()
+
+    def test_set_tiles_rejects_bad_counts(self, soc, mem, task_factory):
+        sim = self._sim(soc, mem, task_factory)
+        sim._dispatch_arrivals()
+        job = sim.ready[0]
+        sim.start_job(job, 2)
+        with pytest.raises(SimulationError, match="tiles must be positive"):
+            sim.set_tiles(job, 0)
+        extra = soc.num_tiles - 1
+        with pytest.raises(
+            SimulationError,
+            match=rf"cannot grow t0 by {extra} tiles "
+                  rf"\({soc.num_tiles - 2} free\)",
+        ):
+            sim.set_tiles(job, soc.num_tiles + 1)
+
+    def test_negative_stall_raises(self, soc, mem, task_factory):
+        sim = self._sim(soc, mem, task_factory)
+        sim._dispatch_arrivals()
+        job = sim.ready[0]
+        sim.start_job(job, 2)
+        with pytest.raises(
+            SimulationError, match="stall cycles must be non-negative"
+        ):
+            sim.stall_job(job, -1.0)
 
     def test_preempt_returns_to_ready(self, soc, mem, task_factory):
         sim = self._sim(soc, mem, task_factory)
@@ -236,26 +311,81 @@ class TestEngineApi:
         assert sim.free_tiles == soc.num_tiles - 3
 
 
-class _OverallocatingPolicy(Policy):
+class _CorruptingPolicy(Policy):
+    """Admits each arrival on 2 tiles; on the decision that admits the
+    second job it first corrupts the running job's state behind the
+    engine's back, so the validation after that plan must catch it."""
+
     name = "bad"
 
-    def on_event(self, sim):
-        for job in list(sim.ready):
-            if sim.free_tiles > 0:
-                sim.start_job(job, sim.free_tiles)
-        # Sneak extra tiles onto the first runner, bypassing set_tiles.
-        if sim.running:
-            sim.running[0].tiles = sim.soc.num_tiles + 1
+    def __init__(self, corrupt):
+        self.corrupt = corrupt
 
-    def reset(self):
-        pass
+    def decide(self, sim):
+        if sim.running and sim.ready:
+            self.corrupt(sim, sim.running[0])
+        return _admit(sim.ready[:1], 2)
+
+
+def _two_arrivals(task_factory):
+    return [task_factory(task_id="a"),
+            task_factory(task_id="b", dispatch=100.0)]
 
 
 class TestValidation:
     def test_policy_overallocation_detected(self, soc, mem, task_factory):
-        tasks = [task_factory(task_id="a")]
-        with pytest.raises(SimulationError, match="over-allocated"):
-            run_simulation(soc, tasks, _OverallocatingPolicy(), mem=mem)
+        def overallocate(sim, job):
+            job.tiles = sim.soc.num_tiles + 1  # bypasses set_tiles
+
+        for solver in SOLVERS:
+            with pytest.raises(
+                SimulationError,
+                match=rf"policy over-allocated tiles: "
+                      rf"{soc.num_tiles + 3} > {soc.num_tiles}",
+            ):
+                run_simulation(soc, _two_arrivals(task_factory),
+                               _CorruptingPolicy(overallocate), mem=mem,
+                               solver=solver)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_tile_accounting_drift_detected(self, soc, mem, task_factory,
+                                            solver):
+        def shrink(sim, job):
+            job.tiles = 1
+
+        with pytest.raises(
+            SimulationError,
+            match="tile accounting drifted: counter 4, running jobs "
+                  "hold 3",
+        ):
+            run_simulation(soc, _two_arrivals(task_factory),
+                           _CorruptingPolicy(shrink), mem=mem,
+                           solver=solver)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_tileless_runner_detected(self, soc, mem, task_factory,
+                                      solver):
+        def strip(sim, job):
+            sim._tiles_held -= job.tiles
+            job.tiles = 0
+
+        with pytest.raises(
+            SimulationError, match="running job a holds no tiles"
+        ):
+            run_simulation(soc, _two_arrivals(task_factory),
+                           _CorruptingPolicy(strip), mem=mem,
+                           solver=solver)
+
+    def test_policy_without_decide_rejected(self, soc, mem,
+                                            task_factory):
+        class _Hollow(Policy):
+            name = "hollow"
+
+        with pytest.raises(
+            SimulationError,
+            match=r"policy 'hollow' does not implement decide\(\)",
+        ):
+            Simulator(soc, [task_factory()], _Hollow(), mem=mem)
 
 
 class TestReadyQueueOrdering:
@@ -343,13 +473,8 @@ class _NeverAdmitPolicy(Policy):
         return EMPTY_PLAN
 
 
-#: The kernel solver runs ``_advance_horizon``; the other two run the
-#: single-step ``_run_incremental`` loop.
-LOOP_SOLVERS = ("kernel", "vector", "scalar")
-
-
 class TestRunLoopErrors:
-    @pytest.mark.parametrize("solver", LOOP_SOLVERS)
+    @pytest.mark.parametrize("solver", SOLVERS)
     def test_event_budget_exceeded(self, soc, mem, task_factory, solver):
         tasks = [
             task_factory(task_id=f"t{i}", dispatch=100.0 * i)
@@ -361,7 +486,7 @@ class TestRunLoopErrors:
                            r"0/3 tasks done"):
             sim.run()
 
-    @pytest.mark.parametrize("solver", LOOP_SOLVERS)
+    @pytest.mark.parametrize("solver", SOLVERS)
     def test_deadlock_when_policy_never_admits(self, soc, mem,
                                                task_factory, solver):
         tasks = [

@@ -23,9 +23,17 @@ from repro.experiments.golden import (
     matrix_fingerprint,
 )
 from repro.experiments.parallel import ParallelRunner
-from repro.experiments.runner import run_matrix
+from repro.experiments.results import DECISION_COUNTER_FIELDS
+from repro.experiments.runner import (
+    default_policies,
+    run_cell_detail,
+    run_matrix,
+)
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "reference_matrix.json"
+ENGINE_COUNTERS_PATH = (
+    Path(__file__).parent / "goldens" / "engine_counters.json"
+)
 
 RE_BLESS = "PYTHONPATH=src python scripts/bless_goldens.py"
 
@@ -85,6 +93,41 @@ def test_parallel_path_matches_goldens_too():
         )
 
 
+def compute_engine_counters() -> dict:
+    """The kernel's work counters for every reference cell at golden
+    size.  Each cell is simulated (no QoS sibling serves it), so the
+    counters describe the engine's own run."""
+    from repro.experiments.golden import reference_specs
+
+    counters = {}
+    for spec in reference_specs():
+        for name, factory in default_policies().items():
+            for seed in spec.seeds:
+                _, result = run_cell_detail(spec, name, factory, seed)
+                counters[f"{spec.label}/{name}/{seed}"] = {
+                    field: getattr(result, field)
+                    for field in DECISION_COUNTER_FIELDS
+                }
+    return counters
+
+
+def test_engine_counters_match_goldens():
+    """Events, epoch-cache reuse and plan counts of the 36 reference
+    cells are pinned exactly: a change to the engine loop that keeps
+    the outputs but does different work shows up here."""
+    assert ENGINE_COUNTERS_PATH.exists(), (
+        f"missing {ENGINE_COUNTERS_PATH}; create it with: {RE_BLESS}"
+    )
+    expected = json.loads(ENGINE_COUNTERS_PATH.read_text())
+    actual = compute_engine_counters()
+    assert sorted(actual) == sorted(expected)
+    moved = sorted(cell for cell in expected if actual[cell] != expected[cell])
+    assert not moved, (
+        f"{len(moved)}/{len(expected)} cells changed engine counters, "
+        f"first {moved[0]}: {actual[moved[0]]} != {expected[moved[0]]}"
+    )
+
+
 def _bless_module():
     path = Path(__file__).parent.parent / "scripts" / "bless_goldens.py"
     spec = importlib.util.spec_from_file_location("bless_goldens", path)
@@ -110,6 +153,9 @@ def test_bless_refuses_while_paper_benches_fail(
     monkeypatch.setattr(bless, "compute_reference_fingerprints", dict)
     monkeypatch.setattr(
         bless, "bless_sweep_exports", lambda: written.append("exports")
+    )
+    monkeypatch.setattr(
+        bless, "bless_engine_counters", lambda: written.append("counters")
     )
     if bench_rc:
         with pytest.raises(SystemExit) as info:

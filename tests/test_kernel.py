@@ -1,10 +1,10 @@
-"""Property pins for the epoch-horizon kernel (ISSUE 10 tentpole).
+"""Property pins for the epoch-horizon kernel.
 
 ``solver="kernel"`` collapses runs of pure-completion events into one
-fused advance+retire sweep, but it replicates the incremental loop's
+fused advance+retire sweep, but it replicates the reference loop's
 float sequence operation for operation — so every simulation it runs
-must be **bit-identical** (``==`` on floats, no tolerance) to both the
-incremental vector path and the scalar reference.  These tests pin
+must be **bit-identical** (``==`` on floats, no tolerance) to
+``solver="reference"`` (:mod:`repro.sim.reference`).  These tests pin
 that across:
 
 - random scenarios (workload set, QoS level, load factor, task count
@@ -30,12 +30,11 @@ from repro.experiments.parallel import ParallelRunner, Supervision
 from repro.experiments.runner import default_policies, run_cell_detail
 from repro.models.zoo import workload_set
 from repro.scenarios import ScenarioSpec
-from repro.sim.engine import Simulator
+from repro.sim import reference
+from repro.sim.engine import SOLVERS, Simulator
 from repro.sim.plan import DecisionCadence
 from repro.sim.qos import QosLevel, QosModel
 from repro.sim.workload import WorkloadConfig, WorkloadGenerator
-
-SOLVERS = ("kernel", "vector", "scalar")
 
 #: Every decision-cadence mode the engine supports.
 CADENCES = (
@@ -74,7 +73,7 @@ def _run(soc, mem, tasks, cadence, solver):
 
 
 class TestKernelBitIdentity:
-    """Random scenarios x all cadences: three solvers, one result."""
+    """Random scenarios x all cadences: both loops, one result."""
 
     @pytest.mark.parametrize(
         "cadence", CADENCES, ids=[c.key for c in CADENCES]
@@ -88,10 +87,10 @@ class TestKernelBitIdentity:
             solver: _run(soc, mem, tasks, cadence, solver)
             for solver in SOLVERS
         }
-        kernel = runs["kernel"]
-        for other in ("vector", "scalar"):
-            assert kernel.makespan == runs[other].makespan
-            assert tuple(kernel.results) == tuple(runs[other].results)
+        kernel, ref = runs["kernel"], runs["reference"]
+        assert kernel.makespan == ref.makespan
+        assert tuple(kernel.results) == tuple(ref.results)
+        assert kernel.events == ref.events
 
     def test_kernel_fuses_events(self, soc, mem):
         """The kernel must actually reuse the epoch solve across the
@@ -126,14 +125,12 @@ class TestKernelUnderSupervision:
         accs = {s: self._supervised(s) for s in SOLVERS}
         for acc in accs.values():
             assert acc.complete and not acc.degraded
-        reference = accs["kernel"].matrix()
-        assert accs["vector"].matrix() == reference
-        assert accs["scalar"].matrix() == reference
+        assert accs["reference"].matrix() == accs["kernel"].matrix()
 
 
 class TestReferenceMatrixSpotCheck:
     """The 36 reference cells (nine scenarios x four policies) at
-    spot-check size: kernel and incremental fingerprints identical."""
+    spot-check size: kernel and reference fingerprints identical."""
 
     def test_all_36_cells_identical(self):
         specs = reference_specs(num_tasks=10, seeds=(1,))
@@ -142,19 +139,19 @@ class TestReferenceMatrixSpotCheck:
         for spec in specs:
             for name, factory in policies.items():
                 prints = {}
-                for solver in ("kernel", "vector"):
+                for solver in SOLVERS:
                     summary, _ = run_cell_detail(
                         spec, name, factory, seed=1, solver=solver
                     )
                     prints[solver] = summary_fingerprint(summary)
-                assert prints["kernel"] == prints["vector"], (
+                assert prints["kernel"] == prints["reference"], (
                     f"cell ({spec.label}, {name}) diverged"
                 )
 
 
 class TestKernelSanitizer:
     """REPRO_CHECK=1 spot-checks the fused solve against the
-    incremental oracle; an injected divergence must be caught."""
+    reference solve; an injected divergence must be caught."""
 
     def test_injected_kernel_divergence_caught(
         self, soc, mem, task_factory, monkeypatch
@@ -163,11 +160,9 @@ class TestKernelSanitizer:
         tasks = [task_factory(task_id=f"t{i}") for i in range(3)]
         sim = Simulator(soc, tasks, MoCAPolicy(), mem=mem)
         assert sim.solver == "kernel"
-        # Lie consistently through both incremental oracles so the
-        # vector-vs-scalar agreement check stays silent and the
-        # divergence is attributed to the kernel solve itself.
-        sim._solve = lambda: {}
-        sim._solve_scalar = lambda: {}
+        monkeypatch.setattr(
+            reference, "solve_block_times", lambda sim: {}
+        )
         with pytest.raises(
             sanitizer.SanitizerError, match="horizon-kernel divergence"
         ):
@@ -185,6 +180,12 @@ class TestKernelSanitizer:
         ):
             sanitizer.check_kernel_agreement(
                 {"x": 1.0}, {}, now=3.0
+            )
+        with pytest.raises(
+            sanitizer.SanitizerError, match="missing jobs \\['b'\\]"
+        ):
+            sanitizer.check_kernel_agreement(
+                {}, {"b": 2.0}, now=3.0
             )
         # Agreement is silent.
         sanitizer.check_kernel_agreement(

@@ -18,7 +18,8 @@ from repro.experiments.runner import (
 )
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.models.zoo import workload_set
-from repro.sim.engine import Simulator
+from repro.sim import reference
+from repro.sim.engine import SOLVERS, Simulator
 from repro.sim.qos import QosLevel
 from repro.sim.workload import WorkloadConfig, WorkloadGenerator
 
@@ -86,6 +87,17 @@ class TestParallelDeterminism:
             assert timing.label == SPEC.label
             assert timing.seconds >= 0
 
+    def test_unknown_solver_rejected(self):
+        # Only the kernel and the reference loop exist.
+        for solver in ("vector", "scalar"):
+            with pytest.raises(
+                ValueError, match=f"unknown solver '{solver}'"
+            ):
+                ParallelRunner(workers=1, solver=solver)
+        assert ParallelRunner(workers=1, solver="reference").solver == (
+            "reference"
+        )
+
     def test_invalid_worker_counts_rejected(self):
         with pytest.raises(ValueError):
             ParallelRunner(workers=0)
@@ -109,39 +121,17 @@ def _tasks(num_tasks=12, seed=3):
 
 
 def _force_recompute(sim):
-    """Drop the epoch cache and the per-block prediction memos and
-    solve from scratch (via the base implementation, so subclass
-    instrumentation doesn't recurse)."""
-    sim._times_epoch = -1
+    """Drop the per-block prediction memos and solve from scratch."""
     for job in sim.running:
         job.current_block.clear_predict_memo()
-    return dict(Simulator._times_now(sim))
-
-
-class _CheckedSimulator(Simulator):
-    """Cross-checks every cached solve against a from-scratch one.
-
-    Hooks ``_times_now`` — the internal cache probe every engine read
-    (including the fused ``_step`` loop) funnels through.
-    """
-
-    checks = 0
-
-    def _times_now(self):
-        cached = super()._times_now()
-        forced = _force_recompute(self)
-        assert cached == forced, (
-            f"epoch cache diverged at t={self.now}: {cached} != {forced}"
-        )
-        type(self).checks += 1
-        return cached
+    return reference.solve_block_times(sim)
 
 
 class TestEpochCachedBlockTimes:
     def test_cache_matches_recompute_under_churn(self):
-        """ISSUE satellite: epoch-cached current_block_times must match
-        a from-scratch recompute after tile / bandwidth / preemption
-        churn."""
+        """current_block_times (served through the per-block
+        prediction memos) must match a from-scratch recompute after
+        tile / bandwidth / preemption churn."""
         soc, mem, tasks = _tasks()
         policy = PremaPolicy()
         policy.reset()
@@ -156,31 +146,32 @@ class TestEpochCachedBlockTimes:
         assert sim.current_block_times() == _force_recompute(sim)
         sim.set_bw_cap(jobs[1], 2.0)
         assert sim.current_block_times() == _force_recompute(sim)
-        # Advance past the reconfiguration stalls: the stall expiry
-        # must invalidate the cache even without an allocation call.
-        sim._block_T = sim.current_block_times()
-        sim._advance(float(policy.compute_reconfig_cycles) + 1.0)
+        # Step past the reconfiguration stalls: the stalled jobs
+        # rejoin the solve even without an allocation call.
+        sim.now += float(policy.compute_reconfig_cycles) + 1.0
         assert sim.current_block_times() == _force_recompute(sim)
         sim.preempt(jobs[0])
         assert sim.current_block_times() == _force_recompute(sim)
 
     def test_full_run_cross_checked(self):
-        """Every solve of a whole MoCA simulation agrees with a
-        from-scratch recompute (stall expiries, block retirements,
-        repartitions, the lot).  Pinned to the incremental engine:
-        ``_times_now`` is that path's cache seam — the horizon
-        kernel's own epoch cache is pinned bit-identical against this
-        path in tests/test_kernel.py."""
+        """A whole MoCA simulation on the kernel, whose epoch cache
+        serves some of its solves, equals the reference loop, which
+        solves from scratch on every event (stall expiries, block
+        retirements, repartitions, the lot)."""
         soc, mem, tasks = _tasks(num_tasks=10, seed=5)
-        policy = MoCAPolicy()
-        policy.reset()
-        _CheckedSimulator.checks = 0
-        sim = _CheckedSimulator(
-            soc, tasks, policy, mem=mem, solver="vector"
-        )
-        result = sim.run()
-        assert len(result.results) == 10
-        assert _CheckedSimulator.checks > 0
+        runs = {}
+        for solver in SOLVERS:
+            policy = MoCAPolicy()
+            policy.reset()
+            runs[solver] = Simulator(
+                soc, tasks, policy, mem=mem, solver=solver
+            ).run()
+        kernel, ref = runs["kernel"], runs["reference"]
+        assert len(kernel.results) == 10
+        assert kernel.block_time_reuses > 0
+        assert ref.block_time_reuses == 0
+        assert ref.block_time_recomputes == ref.events == kernel.events
+        assert tuple(kernel.results) == tuple(ref.results)
 
     def test_reuse_counters_exposed(self):
         soc, mem, tasks = _tasks(num_tasks=10, seed=5)

@@ -397,15 +397,6 @@ class TestDecisionCadence:
 
 
 class TestPolicyBridge:
-    def test_plan_policy_via_on_event_bridge(self, soc, mem,
-                                             task_factory):
-        # policy.on_event(sim) must remain a valid way to drive a
-        # plan-emitting policy (the legacy seam's spelling).
-        sim = _sim(soc, mem, task_factory, policy=_PlannedPairs())
-        sim._dispatch_arrivals()
-        sim.policy.on_event(sim)
-        assert len(sim.running) == 2
-
     def test_policy_without_either_hook_fails_at_construction(
         self, soc, mem, task_factory
     ):
@@ -414,9 +405,9 @@ class TestPolicyBridge:
 
         # Fail fast: the simulator refuses the policy up front
         # instead of raising mid-simulation at the first decision.
-        with pytest.raises(SimulationError, match="neither"):
+        with pytest.raises(SimulationError, match="does not implement"):
             _sim(soc, mem, task_factory, policy=_Hollow())
-        with pytest.raises(NotImplementedError, match="neither"):
+        with pytest.raises(NotImplementedError, match="does not implement"):
             _Hollow().decide(None)
 
     def test_builtin_policies_emit_plans(self):
@@ -429,27 +420,7 @@ class TestPolicyBridge:
 
         for cls in (PlanariaPolicy, PremaPolicy, StaticPartitionPolicy,
                     MoCAPolicy):
-            assert cls().emits_plans
-
-    def test_legacy_imperative_policy_still_supported(self, soc, mem,
-                                                      task_factory):
-        class _Legacy(Policy):
-            name = "legacy"
-
-            def on_event(self, sim):
-                while sim.ready and sim.free_tiles >= 2:
-                    sim.start_job(sim.ready[0], 2)
-
-        assert not _Legacy().emits_plans
-        result = run_simulation(
-            soc,
-            [task_factory(task_id=f"t{i}") for i in range(3)],
-            _Legacy(),
-            mem=mem,
-        )
-        assert len(result.results) == 3
-        # Imperative mutations bypass the controller entirely.
-        assert result.plan_actions == 0
+            assert cls.decide is not Policy.decide
 
 
 class TestTrustedPlans:

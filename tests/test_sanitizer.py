@@ -12,7 +12,9 @@ from repro.core.policy import MoCAPolicy
 from repro.experiments.execution.leases import WorkLedger
 from repro.experiments.results import cell_manifest
 from repro.scenarios import ScenarioSpec
+from repro.sim import reference
 from repro.sim.engine import Simulator
+from repro.sim.reference import solve_block_times
 from repro.sim.plan import AllocationPlan
 
 
@@ -90,14 +92,14 @@ class TestPureObserver:
         # minimum) — identity above wasn't vacuous.
         assert sim._solve_checks >= 1
 
-    def test_scalar_solver_runs_unchecked(
+    def test_reference_solver_runs_unchecked(
         self, soc, mem, task_factory, sanitized
     ):
-        # The spot-check compares vector against the scalar oracle;
-        # a scalar-solver sim has nothing to cross-check.
+        # The spot-check compares the kernel against the reference
+        # solve; a reference-loop sim has nothing to cross-check.
         tasks = [task_factory(task_id="t0")]
         sim = Simulator(
-            soc, tasks, MoCAPolicy(), mem=mem, solver="scalar"
+            soc, tasks, MoCAPolicy(), mem=mem, solver="reference"
         )
         sim.run()
         assert sim._solve_checks == 0
@@ -105,37 +107,24 @@ class TestPureObserver:
 
 class TestSolverSpotCheck:
     def test_injected_divergence_caught(
-        self, soc, mem, task_factory, sanitized
+        self, soc, mem, task_factory, sanitized, monkeypatch
     ):
         tasks = [task_factory(task_id=f"t{i}") for i in range(2)]
         sim = Simulator(soc, tasks, MoCAPolicy(), mem=mem)
 
-        def lying_scalar():
-            return {}
+        def lying_solve(sim):
+            # Same jobs, one float off by an ulp-sized nudge.
+            times = solve_block_times(sim)
+            first = sorted(times)[0]
+            times[first] = times[first] * (1 + 1e-15)
+            return times
 
-        sim._solve_scalar = lying_scalar
+        monkeypatch.setattr(reference, "solve_block_times", lying_solve)
         with pytest.raises(
-            sanitizer.SanitizerError, match="solver divergence"
+            sanitizer.SanitizerError,
+            match="horizon-kernel divergence at t=0.0: job 't0'",
         ):
             sim.run()
-
-    def test_check_solver_agreement_reports_job_detail(self):
-        with pytest.raises(
-            sanitizer.SanitizerError, match="job 'a'"
-        ):
-            sanitizer.check_solver_agreement(
-                {"a": 1.0}, {"a": 2.0}, now=7.0
-            )
-        with pytest.raises(
-            sanitizer.SanitizerError, match="missing jobs \\['b'\\]"
-        ):
-            sanitizer.check_solver_agreement(
-                {}, {"b": 2.0}, now=7.0
-            )
-        # Agreement is silent.
-        sanitizer.check_solver_agreement(
-            {"a": 1.0}, {"a": 1.0}, now=7.0
-        )
 
 
 class TestTrustedPlanRevalidation:

@@ -1,10 +1,11 @@
-"""Bit-identity of the vectorized hot path against its scalar oracles.
+"""Bit-identity of the fast hot paths against their readable oracles.
 
-Three seams got fast twins in the plan-seam performance work, each
-keeping the original implementation as the reference oracle:
+Three seams have a fast twin, each pinned to the readable version:
 
-- ``Simulator._solve_vector`` (runtime-table SoA solve) vs
-  ``Simulator._solve_scalar`` (per-job ``predict`` + dict arbiter);
+- the horizon kernel's fused block-time solve (runtime-table rows fed
+  to the shared water-fill core) vs
+  :func:`repro.sim.reference.solve_block_times` (per-job ``predict``
+  + the validated dict arbiter);
 - ``MoCARuntime.regulate_batch`` (single-sweep Algorithm 2) vs
   ``MoCARuntime.update_app`` (the validated per-app reference);
 - ``MoCAPolicy.fast_path`` (retired-blocks counter skip) vs the full
@@ -32,11 +33,40 @@ from repro.core.runtime import MoCARuntime
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.models.layers import LayerKind
 from repro.models.zoo import build_model
-from repro.sim.engine import Simulator, run_simulation
+from repro.sim.engine import SimulationError, Simulator, run_simulation
+from repro.sim.plan import EMPTY_PLAN
+from repro.sim.policy import Policy
+from repro.sim.reference import solve_block_times
 from repro.sim.workload import WorkloadConfig, WorkloadGenerator
 from repro.sim.qos import QosLevel, QosModel
 
 NETWORKS = ("kws", "squeezenet", "yolo_lite")
+
+
+class _Frozen(Policy):
+    """Never changes the allocation, so one kernel step solves the
+    state a test set up by hand."""
+
+    name = "frozen"
+
+    def decide(self, sim):
+        return EMPTY_PLAN
+
+
+def _kernel_block_times(sim):
+    """The horizon kernel's fused solve of the current state.
+
+    Runs exactly one kernel iteration (the event budget stops the
+    next one; a starved state stops it as a deadlock) and reads the
+    per-job block times the fused solve stored.
+    """
+    active = [j for j in sim.running if sim.now >= j.stall_until]
+    sim._max_events = 1
+    try:
+        sim._advance_horizon()
+    except SimulationError as exc:
+        assert str(exc).startswith(("exceeded 1 events", "deadlock")), exc
+    return {j.job_id: j._kT for j in active}
 
 
 def _random_state_sim(soc, mem, task_factory, rng,
@@ -54,7 +84,7 @@ def _random_state_sim(soc, mem, task_factory, rng,
                      network=networks[rng.randrange(len(networks))])
         for i in range(n_jobs)
     ]
-    sim = Simulator(soc, tasks, MoCAPolicy(), mem=mem)
+    sim = Simulator(soc, tasks, _Frozen(), mem=mem)
     sim._dispatch_arrivals()
     free = soc.num_tiles
     for job in list(sim.ready):
@@ -77,20 +107,23 @@ def _random_state_sim(soc, mem, task_factory, rng,
     return sim
 
 
+def _assert_identical(reference, kernel):
+    # Bit-identity: same keys, same floats, no tolerance.
+    assert reference == kernel
+    for jid in reference:
+        assert reference[jid] == kernel[jid]
+
+
 class TestSolverBitIdentity:
-    """tentpole (b): vectorized SoA solve == scalar reference, exactly."""
+    """The kernel's fused solve == the reference solve, exactly."""
 
     @pytest.mark.parametrize("seed", range(25))
     def test_random_states_solve_identically(self, soc, mem,
                                               task_factory, seed):
         rng = random.Random(seed)
         sim = _random_state_sim(soc, mem, task_factory, rng)
-        scalar = sim._solve_scalar()
-        vector = sim._solve_vector()
-        # Bit-identity: same keys, same floats, no tolerance.
-        assert scalar == vector
-        for jid in scalar:
-            assert scalar[jid] == vector[jid]
+        reference = solve_block_times(sim)
+        _assert_identical(reference, _kernel_block_times(sim))
 
     def test_oversubscribed_channel_matches(self, soc, mem,
                                             task_factory):
@@ -101,14 +134,13 @@ class TestSolverBitIdentity:
         for job in sim.running:
             job.bw_cap = None
             job.stall_until = 0.0
-        scalar = sim._solve_scalar()
-        vector = sim._solve_vector()
-        assert scalar == vector
+        reference = solve_block_times(sim)
+        _assert_identical(reference, _kernel_block_times(sim))
 
     def test_zero_dram_block_takes_t_full(self, soc, mem,
                                           task_factory):
         # A block with no DRAM traffic must take the pure t_full
-        # branch in both solvers (no division by a zero demand).
+        # branch in both solves (no division by a zero demand).
         base = build_network_cost(build_model("kws"), soc, mem)
         blk = base.blocks[0]
         compute_only = BlockCost(
@@ -129,7 +161,7 @@ class TestSolverBitIdentity:
             isolated_cycles=task.isolated_cycles,
         )
         peers = [task_factory(task_id=f"p{i}") for i in range(2)]
-        sim = Simulator(soc, [task] + peers, MoCAPolicy(), mem=mem)
+        sim = Simulator(soc, [task] + peers, _Frozen(), mem=mem)
         sim._dispatch_arrivals()
         free = soc.num_tiles
         for job in list(sim.ready):
@@ -140,31 +172,31 @@ class TestSolverBitIdentity:
                 break
         zjob = sim.jobs["z0"]
         assert zjob.block_idx == 0  # sitting on the zero-DRAM block
-        scalar = sim._solve_scalar()
-        vector = sim._solve_vector()
-        assert scalar == vector
+        reference = solve_block_times(sim)
+        _assert_identical(reference, _kernel_block_times(sim))
         table = zjob._table
-        assert scalar["z0"] == table.t_full_rows[0][zjob.tiles - 1]
+        assert reference["z0"] == table.t_full_rows[0][zjob.tiles - 1]
 
     def test_zero_share_is_inf_in_both_solvers(self, soc, mem,
                                                task_factory,
                                                monkeypatch):
         # A zero bandwidth grant must map to an infinite block time in
-        # both solvers (the job is starved, not instantly finished).
+        # both solves (the job is starved, not instantly finished).
         # A real water-fill never returns exactly 0 for a positive
         # want, so pin the branch by stubbing both arbiter entry
         # points to starve every requestor.
         import repro.sim.engine as engine_mod
+        import repro.sim.reference as reference_mod
 
         rng = random.Random(7)
         sim = _random_state_sim(soc, mem, task_factory, rng, n_jobs=4)
         for job in sim.running:
             job.stall_until = 0.0
             # Caps summing well above the channel force the
-            # oversubscribed (water-fill) route in both solvers.
+            # oversubscribed (water-fill) route in both solves.
             job.bw_cap = 0.8 * mem.dram_bandwidth
         monkeypatch.setattr(
-            engine_mod, "allocate_bandwidth",
+            reference_mod, "allocate_bandwidth",
             lambda demands, total, caps=None, weights=None: {
                 jid: 0.0 for jid in demands
             },
@@ -174,13 +206,12 @@ class TestSolverBitIdentity:
             lambda wants, weights, total: ([0.0] * len(wants),
                                            list(range(len(wants)))),
         )
-        scalar = sim._solve_scalar()
-        vector = sim._solve_vector()
-        assert scalar == vector
+        reference = solve_block_times(sim)
+        _assert_identical(reference, _kernel_block_times(sim))
         inf = float("inf")
         for job in sim.running:
             if job.current_block.from_dram_bytes > 0:
-                assert scalar[job.job_id] == inf
+                assert reference[job.job_id] == inf
 
     @pytest.mark.parametrize("seed", (0, 1))
     def test_full_simulation_identical_across_solvers(self, soc, mem,
@@ -194,16 +225,16 @@ class TestSolverBitIdentity:
             load_factor=0.7, seed=seed,
         ))
         runs = {}
-        for solver in ("vector", "scalar"):
+        for solver in ("kernel", "reference"):
             policy = MoCAPolicy()
             policy.reset()
             result = Simulator(
                 soc, tasks, policy, mem=mem, solver=solver
             ).run()
             runs[solver] = result
-        assert runs["vector"].makespan == runs["scalar"].makespan
-        assert tuple(runs["vector"].results) == tuple(
-            runs["scalar"].results
+        assert runs["kernel"].makespan == runs["reference"].makespan
+        assert tuple(runs["kernel"].results) == tuple(
+            runs["reference"].results
         )
 
 
