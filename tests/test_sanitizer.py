@@ -126,6 +126,29 @@ class TestSolverSpotCheck:
         ):
             sim.run()
 
+    def test_check_solver_agreement_reports_job_detail(
+        self, soc, mem, task_factory, sanitized, monkeypatch
+    ):
+        # A job-set disagreement names the jobs, not just the epoch.
+        tasks = [task_factory(task_id=f"t{i}") for i in range(2)]
+        sim = Simulator(soc, tasks, MoCAPolicy(), mem=mem)
+
+        def phantom_solve(sim):
+            times = solve_block_times(sim)
+            times["ghost"] = 1.0
+            return times
+
+        monkeypatch.setattr(reference, "solve_block_times", phantom_solve)
+        with pytest.raises(
+            sanitizer.SanitizerError,
+            match="extra jobs \\[\\], missing jobs \\['ghost'\\]",
+        ):
+            sim.run()
+        # Agreement is silent.
+        sanitizer.check_kernel_agreement(
+            {"a": 1.0}, {"a": 1.0}, now=7.0
+        )
+
 
 class TestTrustedPlanRevalidation:
     def test_duplicate_caps_caught(
