@@ -28,13 +28,6 @@ the JSON records per-shard wall time — ``max_shard_seconds`` projects
 a 2-host run — so the shard-scaling trajectory is tracked alongside
 the single-host one.
 
-``robustness`` in the JSON records the supervised executor's
-trajectory: the same matrix through ``run_supervised`` (per-cell
-submission with retry/timeout bookkeeping) fault-free, its overhead
-ratio vs the plain parallel leg (informational, not gated), and the
-warm-pool's ``warmup_timeouts`` telemetry.  The supervised run's
-metrics must still be bit-identical to serial.
-
 ``coordinator`` in the JSON records the dynamic work-stealing
 trajectory: the same matrix drained through an in-process
 ``Coordinator`` by two lease-stepping ``SweepWorker``s sharing the
@@ -52,9 +45,8 @@ simulation counters, deterministic per configuration).
 Exit status is non-zero when the parallel path or the sharded merge
 produced different metrics than the serial path, or when any of the
 controlled ratio gates fail: the block-boundary cadence must achieve a
-strictly higher epoch-cache reuse ratio than every-event, the
-coordinator's lease efficiency must hold, and the precompute store
-must share work.  The raw serial/parallel wall-clock ``speedup`` and
+strictly higher epoch-cache reuse ratio than every-event, and the
+coordinator's lease efficiency must hold.  The raw serial/parallel wall-clock ``speedup`` and
 the engine's event rate are recorded but deliberately *not* gated —
 on a 1-CPU container a process pool can only add overhead, and raw
 rates move with box load.
@@ -87,7 +79,6 @@ from repro.core.latency import warm_network_cost_cache
 from repro.core.policy import MoCAPolicy
 from repro.experiments.parallel import (
     ParallelRunner,
-    Supervision,
     matrices_identical,
 )
 from repro.experiments.results import (
@@ -225,83 +216,6 @@ def _prewarm_caches() -> None:
     warm_network_cost_cache(workload_set("C"), soc, mem)
 
 
-def _bench_precompute(num_tasks: int, seeds) -> Dict[str, object]:
-    """Cross-cell precompute sharing A/B on a 2-worker sweep.
-
-    Runs a reduced reference matrix through a cold 2-worker runner
-    (parent cache cleared, warm-start off) twice: once bare, once
-    against an on-disk :class:`~repro.core.latency.PrecomputeStore`
-    pre-seeded from this process's warm caches.  The per-cell
-    ``cost_cache_misses`` totals (deterministic cache telemetry, not
-    wall clock) are the measurement: the store leg must rebuild
-    strictly less than the cold leg — the sharing gate.  Runs LAST
-    (it clears this process's caches).
-    """
-    import shutil
-    import tempfile
-
-    from repro.core.latency import (
-        clear_network_cost_cache,
-        precompute_stats,
-        reset_precompute_stats,
-        warm_network_cost_cache as warm,
-    )
-    from repro.experiments.parallel import _spec_model_names
-    from repro.models.zoo import build_model
-
-    specs = standard_matrix(num_tasks=num_tasks, seeds=seeds)
-    soc = DEFAULT_SOC
-    store_dir = tempfile.mkdtemp(prefix="bench-precompute-")
-    try:
-        reset_precompute_stats()
-        # Seed the store from the warm parent (pure cache hits +
-        # disk saves).
-        models = [
-            build_model(name) for name in _spec_model_names(specs)
-        ]
-        warm(models, soc, store=store_dir)
-        saves = precompute_stats()["precompute_saves"]
-
-        legs: Dict[str, object] = {}
-        matrices = {}
-        for leg, store in (("cold", None), ("with_store", store_dir)):
-            clear_network_cost_cache()
-            runner = ParallelRunner(
-                workers=2, warm_start=False, precompute_dir=store
-            )
-            t0 = time.perf_counter()
-            matrices[leg] = runner.run_matrix(specs)
-            seconds = time.perf_counter() - t0
-            cache = runner.last_sweep.cache_stats()
-            legs[leg] = {
-                "seconds": round(seconds, 3),
-                "mode": runner.last_mode,
-                "cost_cache_misses": cache["cost_cache_misses"],
-                "cost_cache_hits": cache["cost_cache_hits"],
-            }
-        cold = legs["cold"]["cost_cache_misses"]
-        shared = legs["with_store"]["cost_cache_misses"]
-        return {
-            **legs,
-            "store_entries_saved": saves,
-            "store_stats": precompute_stats(),
-            "identical_metrics": matrices_identical(
-                matrices["cold"], matrices["with_store"]
-            ),
-            "gate": {
-                "passed": cold > 0 and shared < cold,
-                "note": (
-                    "a 2-worker sweep warmed from the precompute "
-                    "store must rebuild strictly fewer network costs "
-                    "than the same sweep cold (per-cell "
-                    "cost_cache_misses totals; deterministic)"
-                ),
-            },
-        }
-    finally:
-        shutil.rmtree(store_dir, ignore_errors=True)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--tasks", type=int, default=120)
@@ -395,32 +309,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         file=sys.stderr,
     )
 
-    # Robustness trajectory: the same matrix through the supervised
-    # executor (per-cell submission, retry/timeout bookkeeping, cell
-    # journaling hooks) with no faults injected.  The ratio vs the
-    # plain parallel leg is the pure supervision overhead —
-    # informational, not gated, but tracked so a regression in the
-    # supervisor's dispatch loop shows up in the trajectory.
-    t0 = time.perf_counter()
-    supervised_acc = runner.run_supervised(
-        specs, supervision=Supervision(backoff_base=0.0)
-    )
-    supervised_s = time.perf_counter() - t0
-    supervised_mode = runner.last_mode
-    supervised_identical = matrices_identical(
-        serial_matrix, supervised_acc.matrix()
-    )
-    supervision_overhead = (
-        supervised_s / parallel_s if parallel_s > 0 else float("inf")
-    )
-    print(
-        f"supervised matrix: {supervised_s:6.2f}s "
-        f"(mode={supervised_mode}, "
-        f"x{supervision_overhead:.2f} vs plain parallel, "
-        f"degraded={supervised_acc.degraded})",
-        file=sys.stderr,
-    )
-
     # Shard-scaling trajectory: the same matrix as 2 shard partials
     # (reusing the warm pool), merged back and checked against serial.
     # max(shard seconds) projects the wall time of a 2-host run; every
@@ -496,23 +384,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         p["shard"]["wall_seconds"] for p in shard_partials
     ]
 
-    # Cross-cell precompute sharing A/B — LAST of the sweep legs (it
-    # clears this process's warm caches).  A reduced matrix keeps it
-    # cheap; the measurement is deterministic cache telemetry, not
-    # wall clock.
-    precompute = _bench_precompute(
-        max(args.tasks // 6, 10), seeds=args.seeds[:1]
-    )
-    print(
-        f"precompute:      cold 2-worker sweep rebuilt "
-        f"{precompute['cold']['cost_cache_misses']} network costs, "
-        f"store-warmed rebuilt "
-        f"{precompute['with_store']['cost_cache_misses']} "
-        f"(store: {precompute['store_entries_saved']} entries; gate "
-        f"{'ok' if precompute['gate']['passed'] else 'FAILED'})",
-        file=sys.stderr,
-    )
-
     identical = matrices_identical(serial_matrix, parallel_matrix)
     speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
     cell_seconds = sorted(t.seconds for t in parallel_timings)
@@ -527,9 +398,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             1.0 if decisions["gate"]["passed"] else 0.0, 1.0
         ),
         "coordinator_efficiency": (coordinator_efficiency, 0.67),
-        "precompute_store_sharing": (
-            1.0 if precompute["gate"]["passed"] else 0.0, 1.0
-        ),
     }
     gate_ok = all(v >= floor for v, floor in ratio_gates.values())
 
@@ -561,7 +429,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "warmed_workers": len(warm_pids),
             "warmup_timeouts": warmup_timeouts,
             "worker_pids_seen": parallel_pids,
-            "cache": {**cell_cache, "precompute": precompute},
+            "cache": cell_cache,
             "cell_seconds_min": round(cell_seconds[0], 3),
             "cell_seconds_max": round(cell_seconds[-1], 3),
             "cell_seconds_mean": round(
@@ -616,18 +484,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         },
         "engine": engine,
         "decisions": decisions,
-        "robustness": {
-            "supervised_seconds": round(supervised_s, 3),
-            "mode": supervised_mode,
-            "overhead_vs_parallel": round(supervision_overhead, 3),
-            "identical_metrics": supervised_identical,
-            "degraded": supervised_acc.degraded,
-            "warmup_timeouts": warmup_timeouts,
-            "note": (
-                "fault-free supervised executor vs plain parallel; "
-                "the overhead ratio is informational (not gated)"
-            ),
-        },
         "gate": {
             "passed": gate_ok,
             "ratios": {
@@ -638,7 +494,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "note": (
                 "gated on deterministic counters and controlled "
                 "ratios (epoch-reuse improvement, coordinator lease "
-                "efficiency vs static shards, precompute sharing); "
+                "efficiency vs static shards); "
                 "the raw wall-clock serial/parallel speedup and the "
                 "engine event rate are recorded but not gated"
             ),
@@ -662,22 +518,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 1
-    if not supervised_identical or supervised_acc.degraded:
-        print(
-            "FAIL: fault-free supervised run diverged from serial",
-            file=sys.stderr,
-        )
-        return 1
     if not coordinator_identical:
         print(
             "FAIL: coordinator-drained metrics differ from serial",
-            file=sys.stderr,
-        )
-        return 1
-    if not precompute["identical_metrics"]:
-        print(
-            "FAIL: store-warmed sweep metrics differ from the cold "
-            "sweep",
             file=sys.stderr,
         )
         return 1

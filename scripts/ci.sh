@@ -49,10 +49,11 @@ python -m repro.cli sweep \
     --scenarios bursty-mixed,diurnal-light \
     --tasks 16 --seeds 1 --workers 2
 
-echo "== streaming export identity (parallel vs serial, byte-exact) =="
-# The streaming (2-worker) sweep and the serial sweep must write
+echo "== pool vs serial export identity (2 workers vs 1, byte-exact) =="
+# The 2-worker pool sweep and the serial sweep must write
 # byte-identical JSON/CSV/manifest artifacts; any divergence in the
-# streaming aggregation or the exporters fails the diff.
+# executor's completion-order aggregation or the exporters fails the
+# diff.
 EXPORT_TMP="$(mktemp -d)"
 trap 'rm -rf "$EXPORT_TMP"' EXIT
 python -m repro.cli sweep \

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.sim.plan import EMPTY_PLAN, AllocationPlan
-from repro.sim.policy import Policy
+from repro.sim.policy import Policy, slot_exceeds_soc
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -40,7 +40,11 @@ class StaticPartitionPolicy(Policy):
         self.tiles_per_slot = tiles_per_slot
 
     def decide(self, sim: "Simulator") -> AllocationPlan:
-        """Plan admissions into free slots in dispatch order."""
+        """Plan admissions into free slots in dispatch order.
+
+        Raises:
+            SimulationError: The slot is larger than the SoC.
+        """
         free = sim.free_tiles
         admissions = []
         for job in sim.ready:
@@ -49,6 +53,10 @@ class StaticPartitionPolicy(Policy):
             admissions.append((job.job_id, self.tiles_per_slot))
             free -= self.tiles_per_slot
         if not admissions:
+            if sim.soc.num_tiles < self.tiles_per_slot:
+                raise slot_exceeds_soc(
+                    self, self.tiles_per_slot, sim.soc.num_tiles
+                )
             return EMPTY_PLAN
         # Built from live ready jobs: trusted skips re-validation.
         return AllocationPlan.trusted(admissions=tuple(admissions))

@@ -418,16 +418,14 @@ def _ordered_manifest_policies(manifest, prog: str):
 
 def _sweep_runner(args):
     """The :class:`~repro.experiments.parallel.ParallelRunner` a
-    sweep-family invocation asked for — worker count, engine solver
-    override and precompute-store directory all ride on the runner,
-    so the local, shard and coordinator-worker execution paths pick
-    them up identically."""
+    sweep-family invocation asked for — worker count and engine
+    solver override ride on the runner, so the local, shard and
+    coordinator-worker execution paths pick them up identically."""
     from repro.experiments.parallel import ParallelRunner
 
     return ParallelRunner(
         workers=args.workers or None,
         solver=getattr(args, "solver", None),
-        precompute_dir=getattr(args, "precompute", None),
     )
 
 
@@ -441,7 +439,6 @@ def _supervised_sweep(specs, args, out=None, manifest=None, acc=None,
     discarded so the directory matches a fault-free run's bytes).
     """
     from repro.config import DEFAULT_SOC
-    from repro.experiments.parallel import ParallelRunner
     from repro.experiments.results import cell_manifest
     from repro.experiments.sharding import CellJournal
     from repro.reporting import decision_summary
@@ -1209,16 +1206,6 @@ def build_parser() -> argparse.ArgumentParser:
              "plain loop it is checked against); both are "
              "bit-identical — this is an operational/debugging "
              "knob, never part of the sweep's identity",
-    )
-    p_sweep.add_argument(
-        "--precompute", default=None, dest="precompute", metavar="DIR",
-        help="on-disk precompute store: load network block costs "
-             "from DIR instead of rebuilding them, and save fresh "
-             "builds back; shared safely by concurrent sweeps and "
-             "workers (entries are keyed by a digest of the full "
-             "model + SoC configuration, so a stale entry can never "
-             "alias); treat DIR with the same trust as the source "
-             "tree",
     )
     p_sweep.add_argument(
         "--tasks", type=int, default=None,

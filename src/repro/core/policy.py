@@ -30,7 +30,7 @@ from repro.core.scheduler import MoCAScheduler, SchedulableTask, SchedulerConfig
 from repro.core.scoreboard import ScoreboardEntry
 from repro.memory.arbiter import waterfill_grant_last
 from repro.sim.plan import EMPTY_PLAN, AllocationPlan
-from repro.sim.policy import Policy
+from repro.sim.policy import Policy, slot_exceeds_soc
 from repro.sim.trace import TraceEvent
 from repro.tolerances import ARBITER_REL_TOL, CAP_EQ_TOL
 
@@ -121,6 +121,10 @@ class MoCAPolicy(Policy):
     # ------------------------------------------------------------------
 
     def _lazy_init(self, sim: "Simulator") -> None:
+        if sim.soc.num_tiles < self._tiles_per_task:
+            raise slot_exceeds_soc(
+                self, self._tiles_per_task, sim.soc.num_tiles
+            )
         if self._runtime is None:
             rt = MoCARuntime(sim.soc, sim.mem)
             self._runtime = rt

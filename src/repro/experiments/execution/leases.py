@@ -28,9 +28,9 @@ Per-cell states:
 Batch sizing reuses the LPT cost model of
 :meth:`ShardPlan.from_manifest`: cells are granted costliest-first
 and a batch grows until it reaches the target cost (total cost spread
-over ``4 x workers_hint`` batches, mirroring the parallel executor's
-chunking), so early batches are big (low round-trip overhead) and the
-tail stays fine-grained (stragglers rebalance).
+over ``4 x workers_hint`` batches), so early batches are big (low
+round-trip overhead) and the tail stays fine-grained (stragglers
+rebalance).
 
 Every mutation appends one JSON-ready op to :attr:`WorkLedger.log`;
 :meth:`WorkLedger.replay` rebuilds the exact ledger state from a log,
@@ -70,9 +70,8 @@ LEASED = "leased"
 COMPLETED = "completed"
 QUARANTINED = "quarantined"
 
-#: Batches per worker the default lease target aims for — the same
-#: ``4 x workers`` granularity the parallel executor derives its
-#: submission chunks from: big early batches, fine-grained tail.
+#: Batches per worker the default lease target aims for: big early
+#: batches, fine-grained tail.
 _BATCHES_PER_WORKER = 4
 
 #: Sentinel: "use the ledger's configured TTL" (``None`` must remain
@@ -192,8 +191,7 @@ class WorkLedger:
     def default_batch_cost(self) -> int:
         """The default lease-size target (summed cell cost).
 
-        Total manifest cost spread over ``4 x workers_hint`` batches —
-        the LPT analogue of the parallel executor's chunk derivation.
+        Total manifest cost spread over ``4 x workers_hint`` batches.
         At least the costliest single cell, so the costliest cell
         always fits one lease.
         """

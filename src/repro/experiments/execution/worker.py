@@ -6,12 +6,12 @@ bootstraps: it asks the coordinator for the status document *with the
 manifest*, verifies the SoC it was configured to simulate matches the
 coordinator's (the trust boundary runs both ways — a worker must not
 burn hours simulating the wrong hardware), then loops: request a
-lease, execute its cells through the same
-:class:`~repro.experiments.parallel.ParallelRunner` machinery every
-other execution mode uses, submit the lease partial, repeat.  While a
-lease is executing, a background thread heartbeats at a third of the
-lease TTL so slow cells do not get stolen out from under a live
-worker.
+lease, execute its cells through
+:meth:`~repro.experiments.parallel.ParallelRunner.run_supervised` —
+the executor every other execution mode uses — submit the lease
+partial, repeat.  While a lease is executing, a background thread
+heartbeats at a third of the lease TTL so slow cells do not get
+stolen out from under a live worker.
 
 Error taxonomy (mirrors the transport seam):
 
@@ -72,24 +72,16 @@ def execute_lease(
 ) -> Tuple[List[CellResult], List[CellFailure]]:
     """Execute one batch of cells: the single execution code path.
 
-    With ``supervision`` the batch runs through
-    :meth:`ParallelRunner.run_supervised` — a poison cell quarantines
-    into the failure list instead of aborting the batch.  Without it,
-    the plain streaming path runs and any cell error propagates.
-    Cells come back in ascending index order either way (the order
-    every partial format declares).
+    The batch runs through :meth:`ParallelRunner.run_supervised`
+    (``supervision=None`` means the default :class:`Supervision`), so
+    a poison cell quarantines into the failure list instead of
+    aborting the batch.  Cells come back in ascending index order
+    (the order every partial format declares).
     """
-    if supervision is not None:
-        acc = runner.run_supervised(
-            specs, policies, soc, indices=indices,
-            supervision=supervision,
-        )
-        return acc.cells(), acc.failures()
-    cells = sorted(
-        runner.iter_cells(specs, policies, soc, indices=indices),
-        key=lambda c: c.index,
+    acc = runner.run_supervised(
+        specs, policies, soc, indices=indices, supervision=supervision,
     )
-    return cells, []
+    return acc.cells(), acc.failures()
 
 
 # repro-lint: thread-shared lock=none
@@ -159,7 +151,7 @@ class SweepWorker:
         supervision: Per-cell retry/quarantine policy for execution
             (:meth:`ParallelRunner.run_supervised`); its backoff
             schedule is also reused for transport retries.  ``None``
-            runs unsupervised (cell errors abort the worker).
+            means the default :class:`Supervision`.
         poll_interval: Sleep between lease requests while other
             workers still hold unfinished leases.
         max_transport_retries: Transport-error retries per protocol
@@ -190,10 +182,11 @@ class SweepWorker:
         self._policies_in = policies
         self.soc = soc if soc is not None else DEFAULT_SOC
         self._soc_dict = dataclasses.asdict(self.soc)
-        self.supervision = supervision
+        self.supervision = (
+            supervision if supervision is not None else Supervision()
+        )
         self.poll_interval = poll_interval
         self.max_transport_retries = max_transport_retries
-        self._retry_schedule = supervision or Supervision()
         # Bootstrapped state (filled by _bootstrap):
         self.manifest: Optional[dict] = None
         self.specs = None
@@ -213,7 +206,7 @@ class SweepWorker:
             except TransportError as exc:
                 if attempt >= self.max_transport_retries:
                     raise
-                delay = self._retry_schedule.backoff(attempt)
+                delay = self.supervision.backoff(attempt)
                 print(
                     f"worker {self.worker_id}: transport error "
                     f"({exc}); retrying in {delay:.1f}s",

@@ -7,20 +7,24 @@ cell's seed, the engine is exactly deterministic).  That makes the
 harness embarrassingly parallel, and this module fans it over a small
 pool of worker processes, each fed through its own duplex pipe.
 
-Streaming model
----------------
+Sweep executor
+--------------
 
-:meth:`ParallelRunner.iter_cells` flattens ``specs x policies x
-seeds`` into indexed cell payloads, ships them to worker processes in
-chunks, and **yields one** :class:`~repro.experiments.results.
-CellResult` **per completed cell as its chunk comes back** — no
-barrier across the sweep.  Completion order is nondeterministic in
-pool mode; every cell carries its global submission index, and
-:class:`~repro.experiments.results.SweepResults` folds the stream back
-into the deterministic ``{label: {policy: ScenarioResult}}`` matrix.
-:meth:`ParallelRunner.run_matrix` is exactly that composition, so it
-stays drop-in interchangeable and numerically identical with the
-serial :func:`repro.experiments.runner.run_matrix`.
+:meth:`ParallelRunner.run_supervised` is the one executor.  It
+flattens ``specs x policies x seeds`` into indexed cell payloads,
+sends them to the workers one cell at a time, and folds each
+:class:`~repro.experiments.results.CellResult` into a
+:class:`~repro.experiments.results.SweepResults` **the moment it
+completes** — no barrier across the sweep.  ``on_cell`` sees each
+cell as it is folded in (the journal and export seam).  Completion
+order is nondeterministic in pool mode; every cell carries its global
+submission index, so the accumulator folds the stream back into the
+deterministic ``{label: {policy: ScenarioResult}}`` matrix.
+:meth:`ParallelRunner.run_matrix` is ``run_supervised(...).matrix()``
+under the default :class:`Supervision`, so it stays drop-in
+interchangeable and numerically identical with the serial
+:func:`repro.experiments.runner.run_matrix`.  A cell that keeps
+failing is quarantined; ``matrix()`` then raises, naming it.
 
 Worker pool
 -----------
@@ -50,38 +54,25 @@ report zero ``cost_cache_misses``.
 
 For timing-sensitive callers, :meth:`ParallelRunner.start_pool` makes
 the pool persistent and waits for every worker's ready message, so
-each one has started and warmed *now*; subsequent :meth:`run_matrix` /
-:meth:`iter_cells` / :meth:`run_supervised` calls reuse it —
-``scripts/bench_perf.py`` warms the pool before its timed leg this
-way.  :meth:`close_pool` (or using the runner as a context manager)
-releases it.
+each one has started and warmed *now*; subsequent :meth:`run_matrix`
+/ :meth:`run_supervised` calls reuse it.  :meth:`close_pool` (or
+using the runner as a context manager) releases it.
 
-Pickling constraints
---------------------
+Pickling constraints and serial fallback
+----------------------------------------
 
 Everything crossing the process boundary must pickle: the
 :class:`ScenarioSpec`, the :class:`SoCConfig` and each policy *factory*
 (the class itself, not an instance).  The four built-in policies are
 top-level classes and pickle fine; a lambda or closure factory does
-not, and the runner detects this up front and **falls back to serial
-in-process execution** (same cell code, same results) rather than
-failing.  The fallback also engages for ``workers=1``, single-cell
-matrices, sandboxes where process pools cannot start, and pools that
-break mid-sweep (already-yielded cells are kept; only the remainder
-reruns serially).
+not.  The executor runs the cells serially in-process (same cell
+code, same results, same retry ledger) instead of failing when:
 
-Reading ``BENCH_perf.json``
----------------------------
-
-``scripts/bench_perf.py`` times a fixed reference matrix through both
-paths and writes ``BENCH_perf.json``: ``serial.seconds`` vs
-``parallel.seconds`` (and their ratio, ``speedup``) measure this
-module; ``engine.kernel.events_per_sec`` and its ``block_time_*``
-counters measure the engine's horizon kernel; ``identical_metrics``
-asserts the two paths agreed bit-for-bit; ``host.start_method`` and
-``parallel.cache`` record the worker start method and the aggregated
-cache counters the warm-worker path is judged by.  Every future
-performance PR should beat the checked-in trajectory.
+- ``workers=1`` or the sweep has a single cell;
+- a policy factory does not pickle;
+- no process pool can start (restricted sandboxes);
+- a crashed or hung worker cannot be replaced mid-sweep (cells
+  already folded in are kept; only the remainder runs serially).
 """
 
 from __future__ import annotations
@@ -94,16 +85,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, fields, replace
 from multiprocessing import connection
-from typing import (
-    Deque,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config import DEFAULT_SOC, SoCConfig
 from repro.experiments import faults
@@ -229,8 +211,8 @@ def _run_cell(
     and cache telemetry (a per-cell delta frame spanning the whole
     cell, generation included, so warm-cache behaviour is observable
     from the parent and concurrent accounting in the same process —
-    e.g. the broken-pool serial fallback rerunning cells in the
-    parent — cannot double-count).
+    e.g. the serial fallback running cells in the parent — cannot
+    double-count).
 
     ``attempt`` is the supervised executor's retry counter; it feeds
     the (single) fault-injection point and nothing else — the cell's
@@ -271,18 +253,13 @@ def _run_cell(
     )
 
 
-def _run_cell_chunk(payloads: Sequence[_CellPayload]) -> List[CellResult]:
-    """Worker entry point for one submission chunk."""
-    return [_run_cell(p) for p in payloads]
-
-
 def _run_cell_supervised(
     payload: _CellPayload,
     attempt: int,
     sibling: Optional[_Trajectory] = None,
     share: bool = False,
 ) -> Tuple[CellResult, Optional[_Trajectory]]:
-    """Worker entry point for one supervised (per-cell) submission.
+    """Worker entry point for one cell.
 
     ``sibling`` is a QoS sibling's trajectory handed over by the
     parent (see :class:`_SiblingTrajectories`).  The cell is served
@@ -396,7 +373,6 @@ def _warm_worker(
     model_names: Sequence[str],
     soc: SoCConfig,
     fault_plan: Optional[FaultPlan] = None,
-    store_dir: Optional[str] = None,
 ) -> int:
     """Worker warm-up: pre-warm this worker's cost/predict caches.
 
@@ -406,19 +382,13 @@ def _warm_worker(
     worker* (the per-cell harness of :mod:`repro.experiments.faults`);
     installing it here — rather than per payload — means every cell
     the worker ever runs consults the same plan, spawn or fork alike.
-
-    ``store_dir`` points the warm at an on-disk
-    :class:`~repro.core.latency.PrecomputeStore`: spawn-start workers
-    (which inherit nothing) load the parent's saved block accounting
-    instead of each rebuilding it from the layer graphs.
     """
     from repro.core.latency import warm_network_cost_cache
     from repro.models.zoo import build_model
 
     faults.install_plan(fault_plan, in_worker=True)
     return warm_network_cost_cache(
-        [build_model(name) for name in model_names], soc,
-        store=store_dir,
+        [build_model(name) for name in model_names], soc
     )
 
 
@@ -532,11 +502,6 @@ class _WorkerPool:
         finally:
             child_conn.close()
         return _Worker(proc, conn)
-
-    @property
-    def busy(self) -> bool:
-        """Whether any task is still unanswered."""
-        return any(w.tasks for w in self.workers)
 
     def free_worker(self) -> Optional[_Worker]:
         """The worker with the fewest unanswered tasks, if that is
@@ -723,72 +688,41 @@ class ParallelRunner:
     Attributes:
         workers: Worker process count; ``None`` auto-sizes to the CPU
             count.  ``1`` always runs serially in-process.
-        chunk_size: Cells per submission chunk; ``None`` derives a
-            chunk that splits the payload across ``4 x workers``
-            slices so uneven cells rebalance.  Streaming granularity
-            is one chunk: a chunk's cells are yielded together when
-            its worker answers.
-        warm_start: Have every worker warm the sweep's models
-            before it reports ready (default True; fork hosts inherit
-            warmth either way, spawn hosts need it).
         last_timings: Per-cell wall-clock timings of the most recent
-            :meth:`run_matrix` call, in submission order (spec, then
-            policy, then seed) — not completion order.
+            sweep, in submission order (spec, then policy, then
+            seed) — not completion order.
         last_cells: The :class:`CellResult` stream of the most recent
-            :meth:`run_matrix` call, in submission order.
+            sweep, in submission order.
         last_sweep: The :class:`~repro.experiments.results.
-            SweepResults` accumulator of the most recent
-            :meth:`run_matrix` call (``None`` before the first) —
-            exposes :meth:`~repro.experiments.results.SweepResults.
+            SweepResults` accumulator of the most recent sweep
+            (``None`` before the first) — exposes
+            :meth:`~repro.experiments.results.SweepResults.
             cache_stats` and :meth:`~repro.experiments.results.
             SweepResults.worker_pids` for telemetry consumers.
         last_mode: ``"parallel"`` or ``"serial"`` — which path the most
-            recent :meth:`run_matrix` / :meth:`iter_cells` call
-            actually took (a pool that broke mid-sweep reports
-            ``"serial"``, the degraded mode the remainder ran in).
+            recent sweep actually took.
     """
 
     def __init__(
         self,
         workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        warm_start: bool = True,
         fault_plan: Optional[FaultPlan] = None,
         solver: Optional[str] = None,
-        precompute_dir: Optional[str] = None,
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         if solver is not None and solver not in SOLVERS:
             raise ValueError(
                 f"unknown solver {solver!r} (expected one of {SOLVERS})"
             )
         self.workers = workers
-        self.chunk_size = chunk_size
-        self.warm_start = warm_start
         #: Engine solver override for every cell this runner executes
         #: (``None`` = the engine default).  Operational only — all
         #: solvers are pinned bit-identical — so it never enters
         #: manifests, digests or exports.
         self.solver = solver
-        #: Directory of an on-disk
-        #: :class:`~repro.core.latency.PrecomputeStore`; when set,
-        #: the parent warms from/into it before building payloads and
-        #: every pool worker's warm-up does the same, sharing the
-        #: block-cost precompute across processes and runs.
-        self.precompute_dir = (
-            os.fspath(precompute_dir)
-            if precompute_dir is not None else None
-        )
-        #: (model names, soc) combinations already store-warmed in
-        #: this process — the parent-side warm is once per sweep
-        #: shape, not once per run_matrix call.
-        self._precompute_warmed: Set[Tuple[Tuple[str, ...], SoCConfig]]
-        self._precompute_warmed = set()
         #: Deterministic fault plan installed into every pool worker
         #: (at its warm-up) — the testing seam that makes the
         #: failure paths below reproducible.  ``None`` in production.
@@ -825,8 +759,8 @@ class ParallelRunner:
         worker not ready within 60 s is counted in
         :attr:`last_warmup_timeouts` (and warned about) instead of
         waited for.  Subsequent :meth:`run_matrix` /
-        :meth:`iter_cells` / :meth:`run_supervised` calls reuse the
-        pool until :meth:`close_pool`.
+        :meth:`run_supervised` calls reuse the pool until
+        :meth:`close_pool`.
 
         Returns:
             The worker pids, sorted (empty if the pool could not
@@ -887,9 +821,9 @@ class ParallelRunner:
         spec_list: Sequence[ScenarioSpec],
         soc: SoCConfig,
     ) -> _WorkerPool:
-        names = _spec_model_names(spec_list) if self.warm_start else ()
         return _WorkerPool(
-            workers, (names, soc, self.fault_plan, self.precompute_dir)
+            workers,
+            (_spec_model_names(spec_list), soc, self.fault_plan),
         )
 
     def _acquire_pool(
@@ -948,64 +882,16 @@ class ParallelRunner:
         policies: Optional[Dict[str, PolicyFactory]] = None,
         soc: Optional[SoCConfig] = None,
     ) -> Dict[str, Dict[str, ScenarioResult]]:
-        """Parallel equivalent of :func:`runner.run_matrix`.
-
-        Streams cells through :meth:`iter_cells` and folds each one
-        into a :class:`~repro.experiments.results.SweepResults` the
-        moment it completes — per-seed summaries aggregate
-        incrementally, there is no end-of-sweep barrier beyond
-        exhausting the stream.  Accepts registry names as well as
-        specs.  Returns ``{scenario label: {policy: ScenarioResult}}``
+        """Parallel equivalent of :func:`runner.run_matrix`:
+        :meth:`run_supervised` under the default :class:`Supervision`,
+        assembled into ``{scenario label: {policy: ScenarioResult}}``
         with numerically identical contents to the serial path.
+
+        Raises:
+            ValueError: A cell stayed failing through its retries and
+                was quarantined; the message names the first one.
         """
-        if policies is None:
-            policies = default_policies()
-        spec_list = resolve_scenarios(specs)
-        acc = SweepResults(spec_list, list(policies))
-        for cell in self.iter_cells(spec_list, policies, soc):
-            acc.add(cell)
-        cells = acc.cells()
-        self.last_sweep = acc
-        self.last_cells = cells
-        self.last_timings = [
-            CellTiming(
-                label=c.label, policy=c.policy, seed=c.seed,
-                seconds=c.seconds,
-            )
-            for c in cells
-        ]
-        return acc.matrix()
-
-    def iter_cells(
-        self,
-        specs: Sequence[ScenarioLike],
-        policies: Optional[Dict[str, PolicyFactory]] = None,
-        soc: Optional[SoCConfig] = None,
-        indices: Optional[Sequence[int]] = None,
-    ) -> Iterator[CellResult]:
-        """Yield every cell of the sweep as it completes.
-
-        Pool mode yields in completion order (nondeterministic);
-        serial mode in submission order.  The *set* of cells is
-        deterministic either way, and every cell carries its global
-        submission ``index``, so feeding the stream to
-        :class:`~repro.experiments.results.SweepResults` yields the
-        same aggregate regardless of arrival order.
-
-        ``indices`` restricts execution to a subset of the sweep's
-        global cell indices — the seam shard execution
-        (:func:`repro.experiments.sharding.run_shard`) rides on.  The
-        yielded cells keep their *global* indices (a shard's cells
-        slot straight into the full sweep's accumulator); unknown or
-        duplicate indices are rejected.
-        """
-        spec_list, policies, soc, payloads = self._build_payloads(
-            specs, policies, soc, indices
-        )
-        if not payloads:
-            self.last_mode = "serial"
-            return
-        yield from self._execute(payloads, spec_list, soc)
+        return self.run_supervised(specs, policies, soc).matrix()
 
     def run_supervised(
         self,
@@ -1047,7 +933,13 @@ class ParallelRunner:
           where a cell cannot be interrupted.
 
         Args:
-            specs / policies / soc / indices: As :meth:`iter_cells`.
+            specs: Scenario specs or registry names.
+            policies: Policy factories by name (default: the paper's
+                four).
+            soc: SoC configuration (default: the reference SoC).
+            indices: Restrict execution to these global cell indices
+                (the lease and shard seam); cells keep their global
+                indices, and unknown or duplicate ones are rejected.
             supervision: The retry/timeout/backoff/fault policy
                 (defaults to :class:`Supervision`'s defaults).  Its
                 ``fault_plan`` (or the runner's) is installed in
@@ -1068,9 +960,8 @@ class ParallelRunner:
         """
         sup = supervision if supervision is not None else Supervision()
         # The supervision's plan (if any) wins over the runner's for
-        # the duration of this run only — a later unsupervised (or
-        # differently-supervised) call on the same runner must not
-        # inherit it.
+        # the duration of this run only — a later, differently
+        # supervised call on the same runner must not inherit it.
         prior_plan = self.fault_plan
         if sup.fault_plan is not None:
             self.fault_plan = sup.fault_plan
@@ -1118,6 +1009,10 @@ class ParallelRunner:
             faults.install_plan(self.fault_plan, in_worker=False)
             installed_parent_plan = True
         try:
+            # Only the policy factories can realistically fail to
+            # pickle (specs and SoCs are frozen dataclasses of
+            # primitives), so probe the distinct factories — by
+            # identity, since a factory need not be hashable.
             factories = tuple(
                 {id(p[4]): p[4] for p in payloads}.values()
             )
@@ -1205,9 +1100,8 @@ class ParallelRunner:
         """Pool half of :meth:`run_supervised`.
 
         Cells are sent individually (supervision granularity is one
-        cell, unlike the throughput path's chunks), two per worker,
-        so a worker starts its next cell while the parent records
-        the last.  A worker runs its cells in order, so its oldest
+        cell), two per worker, so a worker starts its next cell while
+        the parent records the last.  A worker runs its cells in order, so its oldest
         unanswered cell is the one running: that cell's wall-clock
         deadline is stamped when it becomes the oldest (once the
         worker is ready), and a crash or timeout charges it alone.
@@ -1362,21 +1256,13 @@ class ParallelRunner:
         soc: Optional[SoCConfig],
         indices: Optional[Sequence[int]],
     ):
-        """Resolve the sweep into indexed cell payloads (shared by the
-        streaming and supervised executors)."""
+        """Resolve the sweep into indexed cell payloads."""
         if policies is None:
             policies = default_policies()
         if soc is None:
             soc = DEFAULT_SOC
         spec_list = resolve_scenarios(specs)
         check_unique_labels(spec_list)
-        if self.precompute_dir is not None and spec_list:
-            # Parent-side store warm: loads (or builds and saves) the
-            # block accounting here, before any payload ships.  This
-            # covers the serial fallback and fork-start pools (the
-            # children inherit the warmed cache); spawn-start workers
-            # re-warm from the same store in their warm-up.
-            self._warm_from_store(spec_list, soc)
         cells = [
             (spec_idx, spec, name, factory, seed)
             for spec_idx, spec in enumerate(spec_list)
@@ -1404,122 +1290,3 @@ class ParallelRunner:
             chosen = set(wanted)
             payloads = [p for p in payloads if p[0] in chosen]
         return spec_list, policies, soc, payloads
-
-    def _warm_from_store(
-        self,
-        spec_list: Sequence[ScenarioSpec],
-        soc: SoCConfig,
-    ) -> None:
-        """Warm the parent's cost cache from ``precompute_dir`` (and
-        save anything it had to build back), once per distinct
-        (model set, SoC) this runner sees."""
-        from repro.core.latency import warm_network_cost_cache
-        from repro.models.zoo import build_model
-
-        names = _spec_model_names(spec_list)
-        if (names, soc) in self._precompute_warmed:
-            return
-        warm_network_cost_cache(
-            [build_model(name) for name in names], soc,
-            store=self.precompute_dir,
-        )
-        self._precompute_warmed.add((names, soc))
-
-    # ------------------------------------------------------------------
-
-    def _execute(
-        self,
-        payloads: List[_CellPayload],
-        spec_list: Sequence[ScenarioSpec],
-        soc: SoCConfig,
-    ) -> Iterator[CellResult]:
-        """Stream the cells, preferring the pool, degrading to serial."""
-        # Only the policy factories can realistically fail to pickle
-        # (specs and SoCs are frozen dataclasses of primitives), so
-        # probe the distinct factories instead of every payload —
-        # deduplicated by identity, since a factory need not be
-        # hashable to be a valid callable.
-        factories = tuple(
-            {id(p[4]): p[4] for p in payloads}.values()
-        )
-        remaining = payloads
-        if (
-            self.workers > 1
-            and len(payloads) > 1
-            and _picklable(factories)
-        ):
-            done: Set[int] = set()
-            try:
-                for cell in self._stream_pool(payloads, spec_list, soc):
-                    done.add(cell.index)
-                    yield cell
-                self.last_mode = "parallel"
-                return
-            except OSError as exc:
-                # Pool could not start or a worker died (sandboxes,
-                # restricted environments, spawn-bootstrap child
-                # crashes); the cells are identical either way, only
-                # slower.  Errors raised *by a worker's simulation*
-                # (SimulationError and friends) propagate — rerunning
-                # serially would only hit them again.  Cells that
-                # already streamed out stay streamed; only the
-                # remainder reruns here.  The pool is already closed
-                # (a broken persistent one is forgotten, so the next
-                # run starts a fresh one).
-                remaining = [p for p in payloads if p[0] not in done]
-                print(
-                    f"parallel: process pool unavailable "
-                    f"({type(exc).__name__}: {exc}); running "
-                    f"{len(remaining)} cells serially",
-                    file=sys.stderr,
-                )
-        self.last_mode = "serial"
-        shared: TrajectoryMemo = {}
-        for payload in remaining:
-            yield _run_cell(payload, shared=shared)
-
-    def _stream_pool(
-        self,
-        payloads: List[_CellPayload],
-        spec_list: Sequence[ScenarioSpec],
-        soc: SoCConfig,
-    ) -> Iterator[CellResult]:
-        """Pool half of :meth:`iter_cells`: chunks of cells, two per
-        worker in flight.
-
-        Raises:
-            OSError: No pool could start, or a worker died (the pool
-                is closed first).
-        """
-        pool, owned = self._acquire_pool(len(payloads), spec_list, soc)
-        if self.chunk_size is not None:
-            chunk = self.chunk_size
-        else:
-            chunk = max(1, len(payloads) // (len(pool.workers) * 4))
-        chunks = deque(
-            payloads[i:i + chunk]
-            for i in range(0, len(payloads), chunk)
-        )
-        broken = False
-        try:
-            while chunks or pool.busy:
-                while chunks:
-                    worker = pool.free_worker()
-                    if worker is None:
-                        break
-                    pool.send(
-                        worker, None, _run_cell_chunk, chunks.popleft()
-                    )
-                replies, dead = pool.wait()
-                for _, _, ok, value in replies:
-                    if not ok:
-                        raise value
-                    yield from value
-                if dead:
-                    broken = True
-                    raise ChildProcessError(_death_message(dead[0]))
-        finally:
-            # A caller abandoning the stream mid-sweep (breaking out of
-            # iter_cells) must not leave a persistent pool grinding
-            # through discarded chunks: its busy workers are replaced.
-            self._release_pool(pool, owned, broken)

@@ -1,18 +1,18 @@
 """First-class sweep results: streaming accumulation and manifests.
 
-The streaming executor (:meth:`repro.experiments.parallel.
-ParallelRunner.iter_cells`) yields one :class:`CellResult` per
-(scenario, policy, seed) cell *as futures complete* — in whatever
-order the workers finish.  This module turns that unordered stream
-back into the deterministic structures the rest of the harness
-consumes:
+The sweep executor (:meth:`repro.experiments.parallel.
+ParallelRunner.run_supervised`) folds one :class:`CellResult` per
+(scenario, policy, seed) cell into a :class:`SweepResults` *as each
+cell completes* — in whatever order the workers finish.  This module
+turns that unordered stream back into the deterministic structures
+the rest of the harness consumes:
 
 - :class:`SweepResults` accumulates cells incrementally (no barrier:
   each cell is folded in the moment it arrives) and, once complete,
   assembles exactly the ``{label: {policy: ScenarioResult}}`` matrix
   the serial :func:`repro.experiments.runner.run_matrix` produces —
   same spec order, same policy order, same per-seed tuples, so the
-  streaming path is bit-identical to serial by construction.
+  pool path is bit-identical to serial by construction.
 - :func:`cell_manifest` renders the full cell list of a sweep as a
   JSON-serialisable document (specs included via
   :meth:`ScenarioSpec.to_dict`).  Every cell entry carries the global
@@ -367,10 +367,15 @@ class SweepResults:
 
         if not self.complete:
             missing = self.missing_indices()
-            quarantined = (
-                f", {len(self._failures)} of them quarantined failures"
-                if self._failures else ""
-            )
+            quarantined = ""
+            if self._failures:
+                first = self._failures[min(self._failures)]
+                quarantined = (
+                    f", {len(self._failures)} of them quarantined "
+                    f"failures (first: cell {first.index} "
+                    f"{first.label}/{first.policy}/seed {first.seed} "
+                    f"[{first.kind}] {first.message})"
+                )
             raise ValueError(
                 f"sweep incomplete: {len(missing)} of "
                 f"{len(self._slots)} cells missing "

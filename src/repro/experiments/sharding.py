@@ -10,13 +10,13 @@ sweep could outgrow one host.  This module is that seam made real:
   longest-processing-time-first greedy assignment with stable
   tie-breaks, so every participant that holds the same manifest and N
   computes the *same* plan with no coordination.
-- :func:`run_shard` executes exactly one shard's slice — reusing
-  :meth:`repro.experiments.parallel.ParallelRunner.iter_cells` (warm
-  pools, streaming, serial fallback) with the global cell indices the
-  manifest assigns — and packages the results as a self-describing
-  *partial artifact*: the manifest (plus its digest), the shard's
-  identity, per-cell results with full-precision metric bundles, and
-  wall-clock/cache telemetry.
+- :func:`run_shard` executes exactly one shard's slice — through
+  :meth:`repro.experiments.parallel.ParallelRunner.run_supervised`
+  (warm pools, per-cell retries, serial fallback) with the global
+  cell indices the manifest assigns — and packages the results as a
+  self-describing *partial artifact*: the manifest (plus its digest),
+  the shard's identity, per-cell results with full-precision metric
+  bundles, and wall-clock/cache telemetry.
 - :func:`merge_partials` folds any set of partial artifacts —
   arriving in any order — back into a
   :class:`~repro.experiments.results.SweepResults`.  Partials from
@@ -248,14 +248,12 @@ def run_shard(
         workers: Worker processes for this shard's cells (ignored
             when ``runner`` is given).
         runner: Optional pre-built/pre-warmed ``ParallelRunner``.
-        supervision: Optional
-            :class:`~repro.experiments.parallel.Supervision` —
-            routes the shard through
-            :meth:`~repro.experiments.parallel.ParallelRunner.
-            run_supervised`, so a poison cell quarantines into the
-            partial's ``failures`` list (exit-code 3 at the CLI)
-            instead of aborting the shard.  Without it the shard runs
-            the plain streaming path and any cell error aborts.
+        supervision: The
+            :class:`~repro.experiments.parallel.Supervision` the
+            shard's cells run under (``None``: the defaults).  A
+            poison cell quarantines into the partial's ``failures``
+            list (exit-code 3 at the CLI) instead of aborting the
+            shard.
     """
     from repro.config import DEFAULT_SOC
     # Imported lazily: the execution package imports this module for
@@ -314,10 +312,9 @@ def run_shard(
             "mode": runner.last_mode,
         },
         "cells": [cell_to_dict(c) for c in cells],
-        # Quarantined cells (supervised runs only; empty otherwise).
-        # Merge treats them as "failed", distinct from "missing": a
-        # failed cell was attempted and gave up, a missing cell was
-        # never supplied by any partial.
+        # Quarantined cells.  Merge treats them as "failed",
+        # distinct from "missing": a failed cell was attempted and
+        # gave up, a missing cell was never supplied by any partial.
         "failures": [failure_to_dict(f) for f in failures],
     }
 

@@ -42,6 +42,19 @@ COMPUTE_RECONFIG_CYCLES = 1_000_000
 MEMORY_RECONFIG_CYCLES = 8
 
 
+def slot_exceeds_soc(policy: "Policy", slot: int, num_tiles: int):
+    """The :class:`~repro.sim.engine.SimulationError` a slot-based
+    policy raises when its ``slot``-tile admission slot is larger than
+    the SoC's ``num_tiles``: no job could ever be admitted."""
+    # Imported here: the engine module imports this one.
+    from repro.sim.engine import SimulationError
+
+    return SimulationError(
+        f"policy {policy.name!r} admits jobs in {slot}-tile slots, but "
+        f"the SoC has only {num_tiles} tile(s)"
+    )
+
+
 class Policy(abc.ABC):
     """Base class for multi-tenancy policies.
 

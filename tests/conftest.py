@@ -51,6 +51,12 @@ def make_task(
 
 
 @pytest.fixture()
+def task_on():
+    """:func:`make_task` for an SoC other than the default."""
+    return make_task
+
+
+@pytest.fixture()
 def task_factory(soc, mem):
     def factory(**kwargs):
         return make_task(soc, mem, **kwargs)

@@ -220,7 +220,8 @@ class TestSolverCli:
         helptext = capsys.readouterr().out
         assert "--solver" in helptext
         assert "kernel" in helptext
-        assert "--precompute" in helptext
+        # The on-disk precompute store and its flag are gone.
+        assert "--precompute" not in helptext
 
     def test_unknown_solver_exits_cleanly(self, capsys):
         # The retired loops' names are as unknown as any other.

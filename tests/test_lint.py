@@ -227,9 +227,9 @@ THREADED_OK = """
 """
 
 
-#: The shape of the on-disk precompute store (ISSUE 10): file I/O on
-#: locals stays outside the lock, the shared counter dict is only
-#: touched through a lock-holding helper.
+#: The shape of a lock-guarded on-disk cache: file I/O on locals
+#: stays outside the lock, the shared counter dict is only touched
+#: through a lock-holding helper.
 PRECOMPUTE_STORE_OK = """
     import json
     import threading

@@ -102,8 +102,6 @@ class TestParallelDeterminism:
         with pytest.raises(ValueError):
             ParallelRunner(workers=0)
         with pytest.raises(ValueError):
-            ParallelRunner(workers=2, chunk_size=0)
-        with pytest.raises(ValueError):
             run_scenario(SPEC, workers=-1)
         with pytest.raises(ValueError):
             run_matrix([SPEC], workers=-2)

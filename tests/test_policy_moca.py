@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.policy import MoCAPolicy
 from repro.core.scheduler import SchedulerConfig
-from repro.sim.engine import Simulator, run_simulation
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.sim.engine import SOLVERS, SimulationError, Simulator, run_simulation
 from repro.sim.trace import TraceEvent
 
 
@@ -52,6 +53,27 @@ class TestAdmission:
         assert all(
             j.tiles == SchedulerConfig().tiles_per_task for j in sim.running
         )
+
+
+class TestSlotLargerThanSoc:
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_rejected_at_first_decision_round(self, soc, task_on,
+                                              solver):
+        """A scheduler slot that cannot fit the SoC would leave every
+        job waiting forever; the first decision round refuses it
+        instead."""
+        four = soc.with_tiles(4)
+        mem = MemoryHierarchy.from_soc(four)
+        tasks = [task_on(four, mem, task_id="t0", dispatch=100.0)]
+        policy = MoCAPolicy(SchedulerConfig(tiles_per_task=6))
+        sim = Simulator(four, tasks, policy, mem=mem, solver=solver)
+        with pytest.raises(
+            SimulationError,
+            match=r"policy 'moca' admits jobs in 6-tile slots, but "
+                  r"the SoC has only 4 tile\(s\)",
+        ):
+            sim.run()
+        assert sim.decisions == 1
 
 
 class TestRegulation:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.baselines.static_partition import StaticPartitionPolicy
-from repro.sim.engine import Simulator, run_simulation
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.sim.engine import SOLVERS, SimulationError, Simulator, run_simulation
 
 
 class TestStaticPartition:
@@ -57,3 +58,23 @@ class TestStaticPartition:
         sim._dispatch_arrivals()
         sim.controller.apply(policy.decide(sim))
         assert len(sim.running) == 2
+
+
+class TestSlotLargerThanSoc:
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_rejected_at_first_decision_round(self, soc, task_on,
+                                              solver):
+        """A slot that cannot fit the SoC would leave every job waiting
+        forever; the first decision round refuses it instead."""
+        one = soc.with_tiles(1)
+        mem = MemoryHierarchy.from_soc(one)
+        tasks = [task_on(one, mem, task_id="t0", dispatch=100.0)]
+        sim = Simulator(one, tasks, StaticPartitionPolicy(), mem=mem,
+                        solver=solver)
+        with pytest.raises(
+            SimulationError,
+            match=r"policy 'static' admits jobs in 2-tile slots, but "
+                  r"the SoC has only 1 tile\(s\)",
+        ):
+            sim.run()
+        assert sim.decisions == 1

@@ -1,6 +1,7 @@
-"""Tests for the streaming results pipeline: iter_cells, the
-SweepResults accumulator (completion-order independence), the cell
-manifest, and the warm-worker cache telemetry."""
+"""Tests for the streaming results pipeline: the cells
+run_supervised folds in, the SweepResults accumulator
+(completion-order independence), the cell manifest, and the
+warm-worker cache telemetry."""
 
 import json
 import random
@@ -40,11 +41,21 @@ def serial_matrix():
 
 @pytest.fixture(scope="module")
 def streamed_cells():
+    """Every cell of a 2-worker sweep, in the order ``on_cell`` saw
+    them complete."""
     runner = ParallelRunner(workers=2)
-    return list(runner.iter_cells(SPECS)), runner
+    cells = []
+    runner.run_supervised(SPECS, on_cell=cells.append)
+    return cells, runner
+
+
+def _serial_cells():
+    return ParallelRunner(workers=1).run_supervised(SPECS).cells()
 
 
 class TestIterCells:
+    """The cell stream of :meth:`ParallelRunner.run_supervised`."""
+
     def test_yields_every_cell_exactly_once(self, streamed_cells):
         cells, _ = streamed_cells
         expected = len(SPECS[0].seeds + SPECS[1].seeds) * len(
@@ -106,14 +117,10 @@ class TestIterCells:
 
 
 class TestSweepResultsOrderIndependence:
-    def _cells(self):
-        runner = ParallelRunner(workers=1)
-        return list(runner.iter_cells(SPECS))
-
     def test_shuffled_completion_order_same_matrix(self, serial_matrix):
         """ISSUE satellite: feeding the stream in any completion order
         must produce the identical aggregate."""
-        cells = self._cells()
+        cells = _serial_cells()
         for trial in range(4):
             shuffled = cells[:]
             random.Random(trial).shuffle(shuffled)
@@ -128,7 +135,7 @@ class TestSweepResultsOrderIndependence:
                     )
 
     def test_incomplete_matrix_raises(self):
-        cells = self._cells()
+        cells = _serial_cells()
         acc = SweepResults(SPECS, list(default_policies()))
         for cell in cells[:-1]:
             acc.add(cell)
@@ -137,14 +144,14 @@ class TestSweepResultsOrderIndependence:
             acc.matrix()
 
     def test_duplicate_cell_rejected(self):
-        cells = self._cells()
+        cells = _serial_cells()
         acc = SweepResults(SPECS, list(default_policies()))
         acc.add(cells[0])
         with pytest.raises(ValueError, match="duplicate"):
             acc.add(cells[0])
 
     def test_mismatched_cell_rejected(self):
-        cells = self._cells()
+        cells = _serial_cells()
         acc = SweepResults(SPECS, list(default_policies()))
         imposter = CellResult(
             index=cells[0].index,
@@ -164,7 +171,7 @@ class TestSweepResultsOrderIndependence:
 
     def test_cache_stats_aggregate(self):
         acc = SweepResults(SPECS, list(default_policies()))
-        for cell in self._cells():
+        for cell in _serial_cells():
             acc.add(cell)
         stats = acc.cache_stats()
         assert set(stats) == {
@@ -396,8 +403,7 @@ class TestCellFailure:
         assert 1 in acc.missing_indices()
 
     def test_success_supersedes_failure(self):
-        runner = ParallelRunner(workers=1)
-        cells = list(runner.iter_cells(SPECS))
+        cells = _serial_cells()
         acc = SweepResults(SPECS, list(default_policies()))
         acc.add_failure(self._failure(index=0))
         acc.add(next(c for c in cells if c.index == 0))

@@ -421,22 +421,26 @@ class TestShardMergeProperty:
 
 
 class TestIterCellsIndices:
+    """``run_supervised(indices=...)``: the seam leases and shards
+    run their slice of a sweep through."""
+
     def test_subset_keeps_global_indices(self):
         runner = ParallelRunner(workers=1)
         wanted = [5, 0, 3]
-        cells = list(runner.iter_cells(SPECS, indices=wanted))
-        assert sorted(c.index for c in cells) == sorted(wanted)
+        acc = runner.run_supervised(SPECS, indices=wanted)
+        assert [c.index for c in acc.cells()] == sorted(wanted)
 
     def test_empty_subset_yields_nothing(self):
         runner = ParallelRunner(workers=1)
-        assert list(runner.iter_cells(SPECS, indices=[])) == []
+        acc = runner.run_supervised(SPECS, indices=[])
+        assert acc.cells() == [] and acc.failures() == []
 
     def test_bad_indices_rejected(self):
         runner = ParallelRunner(workers=1)
         with pytest.raises(ValueError, match="outside"):
-            list(runner.iter_cells(SPECS, indices=[0, 999]))
+            runner.run_supervised(SPECS, indices=[0, 999])
         with pytest.raises(ValueError, match="duplicate"):
-            list(runner.iter_cells(SPECS, indices=[1, 1]))
+            runner.run_supervised(SPECS, indices=[1, 1])
 
 
 class TestShardFailures:

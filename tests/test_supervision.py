@@ -1,8 +1,8 @@
 """Tests for per-cell sweep supervision: retry determinism,
 quarantine instead of abort, pool-crash recovery charged to the
 crashing cell alone, cell timeouts that replace only the hung worker,
-the pool's lifecycle, and the streaming path's dead-pool serial
-fallback driven by the fault harness."""
+the pool's lifecycle, and run_matrix's report of a quarantined
+cell."""
 
 import multiprocessing
 
@@ -10,7 +10,6 @@ import pytest
 
 from repro.experiments.faults import FaultPlan
 from repro.experiments.parallel import ParallelRunner, Supervision
-from repro.experiments.results import SweepResults
 from repro.experiments.runner import (
     POLICY_ORDER,
     ScenarioSpec,
@@ -309,44 +308,39 @@ class TestPoolLifecycle:
             runner.close_pool()
         assert not (pids | live) & children()
 
-    def test_abandoned_stream_leaves_no_stale_replies(self, serial_matrix):
-        """Closing a stream mid-sweep replaces the persistent pool's
-        busy workers, so the next run gets no reply meant for the
-        abandoned one."""
+    def test_abandoned_sweep_leaves_no_stale_replies(self, serial_matrix):
+        """An ``on_cell`` that raises mid-sweep abandons the run; the
+        persistent pool's busy workers are replaced, so the next run
+        gets no reply meant for the abandoned one."""
+
+        class Abandon(Exception):
+            pass
+
+        def on_cell(cell):
+            raise Abandon
+
         runner = ParallelRunner(workers=2)
         try:
             if not runner.start_pool([SPEC]):
                 pytest.skip("process pool unavailable")
-            stream = runner.iter_cells([SPEC])
-            next(stream)
-            stream.close()
-            assert runner.run_matrix([SPEC]) == serial_matrix
+            with pytest.raises(Abandon):
+                runner.run_supervised([SPEC], on_cell=on_cell)
+            assert runner.run_supervised([SPEC]).matrix() == serial_matrix
             assert runner.last_mode == "parallel"
         finally:
             runner.close_pool()
 
 
 @pytest.mark.slow
-class TestBrokenPoolFallback:
-    def test_iter_cells_crash_falls_back_serial_bit_identical(
-        self, serial_matrix
-    ):
-        """The streaming path's mid-sweep serial fallback, driven
-        deterministically by the fault harness — a worker dies, the
-        remainder reruns in-process, and the aggregate stays
-        bit-identical."""
-        plan = FaultPlan.parse("crash:cells=2:attempts=all")
+class TestRunMatrixFailure:
+    def test_quarantined_cell_named_in_error(self):
+        """run_matrix retries a failing cell under the default
+        supervision, quarantines it, and raises with its error."""
+        plan = FaultPlan.parse("transient:cells=1:attempts=all")
         runner = ParallelRunner(workers=2, fault_plan=plan)
-        cells = list(runner.iter_cells([SPEC]))
-        assert runner.last_mode == "serial"  # fallback engaged
-        assert sorted(c.index for c in cells) == list(range(CELLS))
-        acc = SweepResults([SPEC], list(POLICY_ORDER))
-        for cell in cells:
-            acc.add(cell)
-        assert acc.matrix() == serial_matrix
-
-    def test_fallback_cells_not_duplicated(self):
-        plan = FaultPlan.parse("crash:cells=0:attempts=all")
-        runner = ParallelRunner(workers=2, fault_plan=plan)
-        indices = [c.index for c in runner.iter_cells([SPEC])]
-        assert len(indices) == len(set(indices)) == CELLS
+        with pytest.raises(
+            ValueError,
+            match=r"cell 1 .*\[error\] SimulationError: injected "
+                  r"transient fault \(cell 1, attempt 2\)",
+        ):
+            runner.run_matrix([SPEC])
